@@ -40,6 +40,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_durability
 # and then read them lock-free while stepping.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_batched \
     --gtest_filter='FactorizationCacheTest.ConcurrentGetInternsOnePointer'
+# The shared Listener: accept loop, reaping, and stop() racing the
+# handler threads of every daemon, gateway, and proxy.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_listener
 # The HTTP conformance net exercises the threaded gateway; the metrics
 # test is excluded here because it builds a stressmark kit (that path
 # is covered by the default-preset run above).

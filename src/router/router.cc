@@ -1,18 +1,9 @@
 #include "router/router.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
-#include <cstring>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
 #include "service/client.hh"
 #include "service/codec.hh"
@@ -26,27 +17,6 @@ using service::WireError;
 
 namespace
 {
-
-/** Wake-pipe write end for the signal handlers (one router/process). */
-std::atomic<int> g_router_wake_fd{-1};
-
-extern "C" void
-handleRouterSignal(int)
-{
-    int fd = g_router_wake_fd.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        char byte = 's';
-        [[maybe_unused]] ssize_t rc = ::write(fd, &byte, 1);
-    }
-}
-
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
 
 /** ServiceError::what() is "code: message"; recover the message. */
 std::string
@@ -62,7 +32,8 @@ errorMessage(const service::ServiceError &error)
 } // namespace
 
 Router::Router(RouterConfig config)
-    : config_(std::move(config)), ring_(config_.ring)
+    : config_(std::move(config)), ring_(config_.ring),
+      listener_("Router", config_.port, config_.send_timeout_s)
 {
     if (config_.port < 0 || config_.port > 65535)
         fatal("Router: port must be in [0, 65535]");
@@ -108,39 +79,6 @@ Router::start()
     if (started_)
         fatal("Router: start() called twice");
 
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("Router: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("Router: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("Router: bind 127.0.0.1:", config_.port, ": ",
-              std::strerror(errno));
-    if (::listen(listen_fd_, 64) != 0)
-        fatal("Router: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("Router: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
     started_at_ = std::chrono::steady_clock::now();
     started_ = true;
 
@@ -149,7 +87,9 @@ Router::start()
     // window where every request bounces off an unprobed fleet.
     probeBackends();
 
-    accept_thread_ = std::thread([this] { acceptLoop(); });
+    listener_.start([this](const std::shared_ptr<Connection> &conn) {
+        handleConnection(conn);
+    });
     health_thread_ = std::thread([this] { healthLoop(); });
 
     if (config_.http_port >= 0) {
@@ -159,7 +99,7 @@ Router::start()
             nullptr, metrics_, http,
             service::HttpGateway::Hooks{
                 [this] { return statsJson(); },
-                [this] { return shutting_down_.load(); },
+                [this] { return listener_.stopping(); },
             });
         http_->start();
     }
@@ -168,24 +108,14 @@ Router::start()
 void
 Router::installSignalHandlers()
 {
-    if (!started_)
-        fatal("Router: installSignalHandlers() before start()");
-    g_router_wake_fd.store(wake_write_fd_, std::memory_order_relaxed);
-    struct sigaction action{};
-    action.sa_handler = handleRouterSignal;
-    sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, nullptr);
-    ::sigaction(SIGTERM, &action, nullptr);
+    listener_.installSignalHandlers();
 }
 
 void
 Router::beginShutdown()
 {
-    if (shutting_down_.exchange(true))
-        return;
+    listener_.requestStop();
     health_cv_.notify_all();
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
 }
 
 void
@@ -195,8 +125,7 @@ Router::wait()
         return;
     waited_ = true;
 
-    if (accept_thread_.joinable())
-        accept_thread_.join();
+    listener_.awaitStop();
     health_cv_.notify_all();
     if (health_thread_.joinable())
         health_thread_.join();
@@ -204,44 +133,19 @@ Router::wait()
     // Half-close the read side only: a reader mid-forward still owns a
     // writable socket, so the in-flight response goes out before its
     // thread sees EOF and exits — the router's version of the drain.
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        conns.swap(connections_);
-    }
-    for (auto &conn : conns) {
-        // The reader closes the fd (and writes -1) under write_mutex;
-        // taking it here keeps this shutdown off a concurrently closed
-        // — possibly already recycled — descriptor.
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RD);
-    }
-    for (auto &conn : conns)
-        if (conn->reader.joinable())
-            conn->reader.join();
-    for (auto &conn : conns)
-        if (conn->fd >= 0) {
-            ::close(conn->fd);
-            conn->fd = -1;
-        }
+    listener_.stop(SHUT_RD);
 
     if (http_)
         http_->stop();
-
-    if (g_router_wake_fd.load() == wake_write_fd_)
-        g_router_wake_fd.store(-1);
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
 }
 
 RouterCounters
 Router::counters() const
 {
     std::lock_guard<std::mutex> lock(counters_mutex_);
-    return counters_;
+    RouterCounters counters = counters_;
+    counters.connections = listener_.accepted();
+    return counters;
 }
 
 size_t
@@ -276,11 +180,11 @@ Router::healthLoop()
     std::unique_lock<std::mutex> lock(health_mutex_);
     auto period = std::chrono::microseconds(static_cast<int64_t>(
         std::max(1.0, config_.health_period_ms) * 1000.0));
-    while (!shutting_down_.load()) {
+    while (!listener_.stopping()) {
         health_cv_.wait_for(lock, period, [this] {
-            return shutting_down_.load();
+            return listener_.stopping();
         });
-        if (shutting_down_.load())
+        if (listener_.stopping())
             return;
         lock.unlock();
         probeBackends();
@@ -378,135 +282,18 @@ Router::probeBackends()
 }
 
 void
-Router::reapConnections()
+Router::handleConnection(const std::shared_ptr<Connection> &conn)
 {
-    std::vector<std::shared_ptr<Connection>> finished;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        auto live_end = std::partition(
-            connections_.begin(), connections_.end(),
-            [](const std::shared_ptr<Connection> &c) {
-                return !c->done.load();
-            });
-        finished.assign(live_end, connections_.end());
-        connections_.erase(live_end, connections_.end());
-    }
-    for (auto &conn : finished)
-        if (conn->reader.joinable())
-            conn->reader.join();
-}
-
-void
-Router::acceptLoop()
-{
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0) {
-            char buf[64];
-            ssize_t got = ::read(wake_read_fd_, buf, sizeof(buf));
-            bool quit = shutting_down_.load();
-            for (ssize_t i = 0; i < got; ++i)
-                quit = quit || buf[i] != 'r';
-            reapConnections();
-            if (quit) {
-                shutting_down_.store(true);
-                return;
+    service::serveFrames(
+        conn->fd, config_.max_frame_bytes,
+        [this, &conn](const std::string &payload) {
+            {
+                std::lock_guard<std::mutex> lock(counters_mutex_);
+                ++counters_.frames;
             }
-        }
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-        if (config_.send_timeout_s > 0.0) {
-            timeval tv{};
-            tv.tv_sec = static_cast<time_t>(config_.send_timeout_s);
-            tv.tv_usec = static_cast<suseconds_t>(
-                (config_.send_timeout_s -
-                 static_cast<double>(tv.tv_sec)) *
-                1e6);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        }
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(connections_mutex_);
-            connections_.push_back(conn);
-        }
-        conn->reader = std::thread([this, conn] {
-            handleConnection(conn);
-        });
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.connections;
-        }
-    }
-}
-
-void
-Router::handleConnection(std::shared_ptr<Connection> conn)
-{
-    std::string payload;
-    while (true) {
-        service::FrameStatus status = service::readFrame(
-            conn->fd, payload, config_.max_frame_bytes);
-        if (status == service::FrameStatus::Oversized) {
-            sendJson(*conn,
-                     service::makeErrorResponse(
-                         Json(),
-                         WireError{"oversized_frame",
-                                   "frame exceeds " +
-                                       std::to_string(
-                                           config_.max_frame_bytes) +
-                                       " bytes"}));
-            break;
-        }
-        if (status != service::FrameStatus::Ok)
-            break;
-
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.frames;
-        }
-        bool proceed = false;
-        try {
-            proceed = handleFrame(conn, payload);
-        } catch (const std::exception &e) {
-            sendJson(*conn,
-                     service::makeErrorResponse(
-                         Json(),
-                         WireError{"internal_error", e.what()}));
-        }
-        if (!proceed)
-            break;
-    }
-    ::shutdown(conn->fd, SHUT_WR);
-    timeval tv{1, 0};
-    ::setsockopt(conn->fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    char sink[256];
-    while (::read(conn->fd, sink, sizeof(sink)) > 0) {
-    }
-    {
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        conn->open.store(false);
-        ::close(conn->fd);
-        conn->fd = -1;
-    }
-    conn->done.store(true);
-    char byte = 'r';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
+            return handleFrame(conn, payload);
+        },
+        [this, &conn](const Json &response) { sendJson(*conn, response); });
 }
 
 bool
@@ -515,56 +302,24 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
 {
     auto arrival = std::chrono::steady_clock::now();
 
-    Json request;
-    try {
-        request = Json::parse(payload);
-    } catch (const service::JsonError &e) {
+    // Rejected requests are counted by kind, then answered.
+    auto reject = [&](const Json &id, const WireError &error) {
         {
             std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.malformed;
+            ++(error.code == "malformed_frame" ? counters_.malformed
+               : error.code == "unknown_verb"  ? counters_.unknown_verbs
+                                               : counters_.bad_requests);
         }
-        sendJson(*conn,
-                 service::makeErrorResponse(
-                     Json(), WireError{"malformed_frame", e.what()}));
+        sendJson(*conn, service::makeErrorResponse(id, error));
         return true;
-    }
-    if (!request.isObject()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.malformed;
-        sendJson(*conn,
-                 service::makeErrorResponse(
-                     Json(),
-                     WireError{"malformed_frame",
-                               "request must be a JSON object"}));
-        return true;
-    }
+    };
 
-    Json id = request.has("id") ? request.at("id") : Json();
+    Json request, id;
+    service::Verb verb{};
+    if (auto error = service::parseRequestFrame(payload, request, id, verb))
+        return reject(id, *error);
 
-    if (!request.has("verb") || !request.at("verb").isString()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.bad_requests;
-        sendJson(*conn,
-                 service::makeErrorResponse(
-                     id, WireError{"bad_request",
-                                   "missing string field 'verb'"}));
-        return true;
-    }
-    std::string verb_name = request.at("verb").asString();
-    std::optional<service::Verb> verb =
-        service::verbFromName(verb_name);
-    if (!verb) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.unknown_verbs;
-        sendJson(*conn,
-                 service::makeErrorResponse(
-                     id, WireError{"unknown_verb",
-                                   "unknown verb '" + verb_name +
-                                       "'"}));
-        return true;
-    }
-
-    switch (*verb) {
+    switch (verb) {
     case service::Verb::Ping: {
         Json result = Json::object();
         result.set("pong", Json::boolean(true));
@@ -601,50 +356,19 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
     }
 
     service::AnyRequest typed;
-    try {
-        Json params = request.has("params") ? request.at("params")
-                                            : Json::object();
-        typed = service::decodeRequestParams(*verb, params);
-    } catch (const service::JsonError &e) {
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-        }
+    std::optional<std::chrono::microseconds> budget;
+    if (auto error =
+            service::decodeComputeRequest(request, verb, typed, budget))
+        return reject(id, *error);
+    // The router forwards synchronously (no queue), so the only expiry
+    // it can observe itself is a deadline that was already zero on
+    // arrival; anything longer is enforced upstream.
+    if (budget && std::chrono::steady_clock::now() >= arrival + *budget) {
         sendJson(*conn,
                  service::makeErrorResponse(
-                     id, WireError{"bad_request", e.what()}));
+                     id, WireError{"deadline_exceeded",
+                                   "deadline expired before forwarding"}));
         return true;
-    }
-
-    if (request.has("deadline_ms")) {
-        const Json &raw = request.at("deadline_ms");
-        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
-        if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6) {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-            sendJson(*conn,
-                     service::makeErrorResponse(
-                         id,
-                         WireError{
-                             "bad_request",
-                             "deadline_ms must be a number in "
-                             "[0, 3.6e6]"}));
-            return true;
-        }
-        // The router forwards synchronously (no queue), so the only
-        // expiry it can observe itself is a deadline that was already
-        // zero on arrival; anything longer is enforced upstream.
-        auto deadline = arrival + std::chrono::microseconds(
-                                      static_cast<int64_t>(ms * 1e3));
-        if (std::chrono::steady_clock::now() >= deadline) {
-            sendJson(*conn,
-                     service::makeErrorResponse(
-                         id,
-                         WireError{"deadline_exceeded",
-                                   "deadline expired before "
-                                   "forwarding"}));
-            return true;
-        }
     }
 
     // The routing key is the request's canonical identity — the same
@@ -652,7 +376,7 @@ Router::handleFrame(const std::shared_ptr<Connection> &conn,
     // cache keys by — so repeats of one computation always land on
     // one backend, where they coalesce instead of recomputing.
     std::string routing_key = service::requestKey(typed);
-    forward(conn, id, *verb, routing_key,
+    forward(conn, id, verb, routing_key,
             service::encodeRequestParams(typed),
             request.boolOr("accept_stream", false));
     return true;

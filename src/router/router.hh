@@ -61,6 +61,7 @@
 #include "router/ring.hh"
 #include "runtime/cache.hh"
 #include "service/http.hh"
+#include "service/listener.hh"
 #include "service/metrics.hh"
 #include "service/resilient.hh"
 
@@ -178,20 +179,24 @@ class Router
     Router &operator=(const Router &) = delete;
 
     /**
-     * Bind, probe every backend once (so routing is ready the moment
-     * this returns), and spawn the accept loop + health thread.
+     * Probe every backend once (so routing is ready the moment this
+     * returns), then bind and spawn the accept loop + health thread.
      * fatal() on bind failure — an unreachable backend is NOT fatal,
      * it is simply unhealthy until a probe succeeds.
      */
     void start();
 
     /** The bound port (resolves port 0 after start()). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     /** Bound gateway port after start(); -1 when disabled. */
     int httpPort() const { return http_ ? http_->port() : -1; }
 
-    /** Route SIGINT/SIGTERM to beginShutdown() (one per process). */
+    /**
+     * Route SIGINT/SIGTERM to beginShutdown() (one router per
+     * process); a SECOND signal forces immediate process exit (status
+     * 130), as for service::Server. Call after start().
+     */
     void installSignalHandlers();
 
     /** Async-signal-safe shutdown trigger; returns immediately. */
@@ -229,20 +234,11 @@ class Router
         std::string advertise; //!< last probed; under state_mutex_
     };
 
-    struct Connection
-    {
-        int fd = -1;
-        std::mutex write_mutex;
-        std::atomic<bool> open{true};
-        std::thread reader;
-        std::atomic<bool> done{false};
-    };
+    using Connection = service::Listener::Connection;
 
-    void acceptLoop();
-    void reapConnections();
     void healthLoop();
     void probeBackends();
-    void handleConnection(std::shared_ptr<Connection> conn);
+    void handleConnection(const std::shared_ptr<Connection> &conn);
     bool handleFrame(const std::shared_ptr<Connection> &conn,
                      const std::string &payload);
     void forward(const std::shared_ptr<Connection> &conn,
@@ -266,14 +262,8 @@ class Router
     service::MetricsRegistry metrics_;
     std::unique_ptr<service::HttpGateway> http_;
 
-    int listen_fd_ = -1;
-    int wake_read_fd_ = -1;
-    int wake_write_fd_ = -1;
-    int port_ = 0;
-    std::atomic<bool> shutting_down_{false};
     bool started_ = false;
     bool waited_ = false;
-    std::thread accept_thread_;
     std::thread health_thread_;
     std::chrono::steady_clock::time_point started_at_;
 
@@ -283,11 +273,10 @@ class Router
     std::mutex health_mutex_; //!< pairs with health_cv_ only
     std::condition_variable health_cv_;
 
-    mutable std::mutex connections_mutex_;
-    std::vector<std::shared_ptr<Connection>> connections_;
-
     mutable std::mutex counters_mutex_;
     RouterCounters counters_;
+
+    service::Listener listener_; //!< last: its handlers use the members above
 };
 
 } // namespace vn::router

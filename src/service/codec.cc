@@ -240,6 +240,34 @@ decodeRequestParams(Verb verb, const Json &params)
     }
 }
 
+std::optional<WireError>
+decodeComputeRequest(const Json &request, Verb verb, AnyRequest &typed,
+                     std::optional<std::chrono::microseconds> &deadline)
+{
+    try {
+        Json params =
+            request.has("params") ? request.at("params") : Json::object();
+        typed = decodeRequestParams(verb, params);
+    } catch (const JsonError &e) {
+        return WireError{"bad_request", e.what()};
+    }
+
+    deadline.reset();
+    if (request.has("deadline_ms")) {
+        // isNumber() first: asNumber() on a string/null/... throws,
+        // and an exception escaping here would terminate the daemon.
+        const Json &raw = request.at("deadline_ms");
+        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
+        if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6)
+            return WireError{"bad_request",
+                             "deadline_ms must be a number in "
+                             "[0, 3.6e6]"};
+        deadline = std::chrono::microseconds(
+            static_cast<int64_t>(ms * 1000.0));
+    }
+    return std::nullopt;
+}
+
 Json
 encodeRequestParams(const AnyRequest &request)
 {

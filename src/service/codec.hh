@@ -12,6 +12,8 @@
 #ifndef VN_SERVICE_CODEC_HH
 #define VN_SERVICE_CODEC_HH
 
+#include <chrono>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -75,6 +77,16 @@ std::string requestKey(const AnyRequest &request);
 
 /** Decode/validate `params` for a compute verb; throws JsonError. */
 AnyRequest decodeRequestParams(Verb verb, const Json &params);
+
+/**
+ * Decode a compute request's `params` (absent: `{}`) and its optional
+ * `deadline_ms`, which must be a number in [0, 3.6e6] and is returned
+ * as a budget relative to arrival. On failure returns the
+ * `bad_request` answer.
+ */
+std::optional<WireError>
+decodeComputeRequest(const Json &request, Verb verb, AnyRequest &typed,
+                     std::optional<std::chrono::microseconds> &deadline);
 
 /** Encode a typed request's params (client side). */
 Json encodeRequestParams(const AnyRequest &request);

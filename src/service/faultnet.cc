@@ -8,9 +8,7 @@
 #include <stdexcept>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,14 +22,6 @@ namespace vn::service
 namespace
 {
 
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
 /** The 4-byte big-endian frame header for a payload of `n` bytes. */
 std::string
 frameHeader(size_t n)
@@ -44,30 +34,12 @@ frameHeader(size_t n)
     return header;
 }
 
-/** write(2) every byte, surviving EINTR and partial writes. */
-bool
-sendAll(int fd, const char *data, size_t len)
-{
-    size_t sent = 0;
-    while (sent < len) {
-        ssize_t n = ::write(fd, data + sent, len - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<size_t>(n);
-    }
-    return true;
-}
-
 int
 dialLoopback(int port)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0)
         return -1;
-    setCloexec(fd);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -328,7 +300,8 @@ FaultSchedule::operator==(const FaultSchedule &other) const
 // FaultProxy
 
 FaultProxy::FaultProxy(int upstream_port, FaultSchedule schedule)
-    : upstream_port_(upstream_port), schedule_(std::move(schedule))
+    : upstream_port_(upstream_port), schedule_(std::move(schedule)),
+      listener_("FaultProxy", 0) // ephemeral: the proxy is a test fixture
 {}
 
 FaultProxy::~FaultProxy()
@@ -339,157 +312,44 @@ FaultProxy::~FaultProxy()
 void
 FaultProxy::start()
 {
-    if (started_)
-        fatal("FaultProxy: start() called twice");
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("FaultProxy: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("FaultProxy: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0; // ephemeral: the proxy is a test fixture
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("FaultProxy: bind: ", std::strerror(errno));
-    if (::listen(listen_fd_, 64) != 0)
-        fatal("FaultProxy: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("FaultProxy: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
-    started_ = true;
-    accept_thread_ = std::thread([this] { acceptLoop(); });
+    listener_.start(
+        [this](const std::shared_ptr<ProxyConnection> &conn) {
+            relayConnection(conn);
+        });
 }
 
 void
 FaultProxy::stop()
 {
-    if (!started_ || stopped_)
-        return;
-    stopped_ = true;
-
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
-    if (accept_thread_.joinable())
-        accept_thread_.join();
-
-    std::vector<std::shared_ptr<ProxyConnection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        conns.swap(connections_);
-    }
-    for (auto &conn : conns) {
-        conn->open.store(false);
-        int cfd = conn->client_fd.load();
-        if (cfd >= 0)
-            ::shutdown(cfd, SHUT_RDWR);
-        // A relay that dials after this load sees open == false and
-        // shuts the fresh upstream down itself (see relayConnection).
-        int ufd = conn->upstream_fd.load();
-        if (ufd >= 0)
-            ::shutdown(ufd, SHUT_RDWR);
-    }
-    for (auto &conn : conns) {
-        if (conn->relay.joinable())
-            conn->relay.join();
-        int cfd = conn->client_fd.exchange(-1);
-        if (cfd >= 0)
-            ::close(cfd);
-        int ufd = conn->upstream_fd.exchange(-1);
-        if (ufd >= 0)
-            ::close(ufd);
-    }
-
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+    listener_.stop(SHUT_RDWR);
 }
 
 FaultProxyCounters
 FaultProxy::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
-}
-
-void
-FaultProxy::acceptLoop()
-{
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0)
-            return; // stop() woke us
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-
-        uint64_t conn_index = next_connection_.fetch_add(1);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++counters_.connections;
-        }
-        if (schedule_.connectionRefused(conn_index)) {
-            // The TCP handshake already completed in the backlog, so
-            // "refused" manifests as an immediate hangup — the client
-            // sees io_error on its first exchange, same as a daemon
-            // that died between connect and call.
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++counters_.refused;
-            }
-            ::close(fd);
-            continue;
-        }
-
-        auto conn = std::make_shared<ProxyConnection>();
-        conn->client_fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            connections_.push_back(conn);
-        }
-        conn->relay = std::thread([this, conn] {
-            relayConnection(conn);
-        });
-    }
+    FaultProxyCounters counters = counters_;
+    counters.connections = listener_.accepted();
+    return counters;
 }
 
 void
 FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
 {
+    if (schedule_.connectionRefused(conn->ordinal - 1)) {
+        // The TCP handshake already completed in the backlog, so
+        // "refused" manifests as an immediate hangup (the Listener
+        // closes the socket as this returns) — the client sees
+        // io_error on its first exchange, same as a daemon that died
+        // between connect and call.
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++counters_.refused;
+        return;
+    }
+
     std::string payload;
     while (conn->open.load()) {
-        FrameStatus status = readFrame(conn->client_fd, payload,
+        FrameStatus status = readFrame(conn->fd, payload,
                                        kDefaultMaxFrameBytes);
         if (status != FrameStatus::Ok)
             break;
@@ -518,26 +378,25 @@ FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
             WireError error{"overloaded",
                             "faultnet: injected overload",
                             action.retry_after_ms};
-            if (!writeFrame(conn->client_fd,
-                            makeErrorResponse(id, error).dump()))
+            if (!writeFrame(conn->fd, makeErrorResponse(id, error).dump()))
                 break;
             continue;
         }
 
-        if (conn->upstream_fd.load() < 0) {
+        if (conn->peer_fd.load() < 0) {
             int upstream = dialLoopback(upstream_port_);
             if (upstream < 0)
                 break;
-            conn->upstream_fd.store(upstream);
+            conn->peer_fd.store(upstream);
             if (!conn->open.load()) {
                 // stop() swept the fds before this one was published,
-                // so shutting the fresh socket down is on us (close
-                // still happens in stop(), after the join).
+                // so shutting the fresh socket down is on us (the
+                // Listener closes it as this returns).
                 ::shutdown(upstream, SHUT_RDWR);
                 break;
             }
         }
-        if (!writeFrame(conn->upstream_fd, payload))
+        if (!writeFrame(conn->peer_fd, payload))
             break;
         // Relay every frame of the response: one frame for ordinary
         // calls, begin/chunk.../end for a chunked stream. The proxy
@@ -548,7 +407,7 @@ FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
         bool more = true;
         while (more) {
             std::string response;
-            if (readFrame(conn->upstream_fd, response,
+            if (readFrame(conn->peer_fd, response,
                           kDefaultMaxFrameBytes) != FrameStatus::Ok) {
                 severed = true;
                 break;
@@ -571,16 +430,6 @@ FaultProxy::relayConnection(const std::shared_ptr<ProxyConnection> &conn)
         if (severed)
             break;
     }
-    conn->open.store(false);
-    // Surface EOF to both sides; the fds are closed by stop() after
-    // this thread is joined (closing here would race a stop() that is
-    // concurrently shutdown()ing the same descriptors).
-    int cfd = conn->client_fd.load();
-    if (cfd >= 0)
-        ::shutdown(cfd, SHUT_RDWR);
-    int ufd = conn->upstream_fd.load();
-    if (ufd >= 0)
-        ::shutdown(ufd, SHUT_RDWR);
 }
 
 bool
@@ -606,7 +455,7 @@ FaultProxy::applyResponseAction(
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++counters_.relayed_stream_frames;
             }
-            return sendAll(conn->client_fd, wire.data(), wire.size());
+            return writeAll(conn->fd, wire);
         }
         size_t n = std::min(action.bytes > cumulative_wire
                                 ? action.bytes - cumulative_wire
@@ -617,7 +466,7 @@ FaultProxy::applyResponseAction(
             std::lock_guard<std::mutex> lock(mutex_);
             ++counters_.injected_cuts;
         }
-        sendAll(conn->client_fd, wire.data(), n);
+        writeAll(conn->fd, std::string_view(wire).substr(0, n));
         return false;
     }
     case FaultAction::Kind::TruncateFrame: {
@@ -630,7 +479,7 @@ FaultProxy::applyResponseAction(
             std::lock_guard<std::mutex> lock(mutex_);
             ++counters_.injected_truncations;
         }
-        sendAll(conn->client_fd, wire.data(), wire.size());
+        writeAll(conn->fd, wire);
         return false;
     }
     case FaultAction::Kind::DelayMs: {
@@ -659,7 +508,7 @@ FaultProxy::applyResponseAction(
         else
             ++counters_.relayed_stream_frames;
     }
-    return writeFrame(conn->client_fd, payload);
+    return writeFrame(conn->fd, payload);
 }
 
 // ---------------------------------------------------------------------

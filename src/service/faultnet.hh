@@ -38,10 +38,9 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "service/dispatcher.hh"
+#include "service/listener.hh"
 #include "service/protocol.hh"
 
 namespace vn::service
@@ -168,22 +167,15 @@ class FaultProxy
     void stop();
 
     /** The port clients dial (valid after start()). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     FaultProxyCounters counters() const;
 
   private:
-    struct ProxyConnection
-    {
-        // Atomic because the relay thread publishes upstream_fd while
-        // stop() concurrently reads both fds to shut them down.
-        std::atomic<int> client_fd{-1};
-        std::atomic<int> upstream_fd{-1};
-        std::thread relay;
-        std::atomic<bool> open{true};
-    };
+    /** A proxied connection: `fd` is the client, `peer_fd` the
+     *  upstream (dialed on the first forwarded request). */
+    using ProxyConnection = Listener::Connection;
 
-    void acceptLoop();
     void relayConnection(const std::shared_ptr<ProxyConnection> &conn);
 
     /**
@@ -202,20 +194,12 @@ class FaultProxy
     int upstream_port_;
     FaultSchedule schedule_;
 
-    int listen_fd_ = -1;
-    int wake_read_fd_ = -1;
-    int wake_write_fd_ = -1;
-    int port_ = -1;
-    bool started_ = false;
-    bool stopped_ = false;
-    std::thread accept_thread_;
-
-    std::atomic<uint64_t> next_connection_{0};
     std::atomic<uint64_t> next_request_{0};
 
-    mutable std::mutex mutex_; //!< guards connections_ and counters_
-    std::vector<std::shared_ptr<ProxyConnection>> connections_;
+    mutable std::mutex mutex_; //!< guards counters_
     FaultProxyCounters counters_;
+
+    Listener listener_; //!< last: its handlers use the members above
 };
 
 /**

@@ -6,11 +6,8 @@
 #include <future>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include "util/logging.hh"
@@ -77,43 +74,6 @@ reasonPhrase(int status)
     case 504: return "Gateway Timeout";
     default: return "Response";
     }
-}
-
-bool
-writeAll(int fd, const std::string &bytes)
-{
-    size_t done = 0;
-    while (done < bytes.size()) {
-        ssize_t put = ::send(fd, bytes.data() + done,
-                             bytes.size() - done, MSG_NOSIGNAL);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<size_t>(put);
-    }
-    return true;
-}
-
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
-void
-setSocketTimeout(int fd, int option, double seconds)
-{
-    if (seconds <= 0.0)
-        return;
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(seconds);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-    ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
 }
 
 std::string
@@ -466,7 +426,9 @@ HttpGateway::HttpGateway(Dispatcher *dispatcher,
                          MetricsRegistry &metrics, HttpConfig config,
                          Hooks hooks)
     : dispatcher_(dispatcher), metrics_(metrics), config_(config),
-      hooks_(std::move(hooks))
+      hooks_(std::move(hooks)),
+      listener_("HttpGateway", config_.port, config_.send_timeout_s,
+                config_.read_timeout_s)
 {
     if (config_.port < 0 || config_.port > 65535)
         fatal("HttpGateway: port must be in [0, 65535]");
@@ -482,155 +444,24 @@ HttpGateway::~HttpGateway()
 void
 HttpGateway::start()
 {
-    if (started_)
-        fatal("HttpGateway: start() called twice");
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("HttpGateway: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("HttpGateway: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    // Loopback only, like the framed listener: this is scrape/debug
-    // surface for the local box, not an exposed network service.
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("HttpGateway: bind 127.0.0.1:", config_.port, ": ",
-              std::strerror(errno));
-    if (::listen(listen_fd_, 16) != 0)
-        fatal("HttpGateway: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("HttpGateway: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
-    started_ = true;
-    accept_thread_ = std::thread([this] { acceptLoop(); });
+    listener_.start(
+        [this](const std::shared_ptr<Listener::Connection> &conn) {
+            handleConnection(conn);
+        });
 }
 
 void
 HttpGateway::stop()
 {
-    if (!started_ || stopped_)
-        return;
-    stopped_ = true;
-    stopping_.store(true);
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
-    if (accept_thread_.joinable())
-        accept_thread_.join();
-
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        conns.swap(connections_);
-    }
-    for (auto &conn : conns)
-        if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RDWR);
-    for (auto &conn : conns) {
-        if (conn->worker.joinable())
-            conn->worker.join();
-        if (conn->fd >= 0) {
-            ::close(conn->fd);
-            conn->fd = -1;
-        }
-    }
-
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
+    listener_.stop(SHUT_RDWR);
 }
 
 void
-HttpGateway::acceptLoop()
-{
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0) {
-            char buf[64];
-            ssize_t got = ::read(wake_read_fd_, buf, sizeof(buf));
-            bool quit = stopping_.load();
-            for (ssize_t i = 0; i < got; ++i)
-                quit = quit || buf[i] != 'r';
-            // Reap finished workers so a long-lived daemon does not
-            // accumulate one joinable thread per past scrape.
-            std::vector<std::shared_ptr<Connection>> finished;
-            {
-                std::lock_guard<std::mutex> lock(connections_mutex_);
-                auto keep = connections_.begin();
-                for (auto &conn : connections_) {
-                    if (conn->done.load())
-                        finished.push_back(conn);
-                    else
-                        *keep++ = conn;
-                }
-                connections_.erase(keep, connections_.end());
-            }
-            for (auto &conn : finished) {
-                if (conn->worker.joinable())
-                    conn->worker.join();
-                if (conn->fd >= 0) {
-                    ::close(conn->fd);
-                    conn->fd = -1;
-                }
-            }
-            if (quit)
-                return;
-        }
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-        setSocketTimeout(fd, SO_RCVTIMEO, config_.read_timeout_s);
-        setSocketTimeout(fd, SO_SNDTIMEO, config_.send_timeout_s);
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(connections_mutex_);
-            connections_.push_back(conn);
-        }
-        conn->worker = std::thread([this, conn] {
-            handleConnection(conn);
-        });
-    }
-}
-
-void
-HttpGateway::handleConnection(const std::shared_ptr<Connection> &conn)
+HttpGateway::handleConnection(
+    const std::shared_ptr<Listener::Connection> &conn)
 {
     std::string buffer;
-    while (!stopping_.load()) {
+    while (!listener_.stopping()) {
         HttpRequest request;
         std::string detail;
         HttpParseStatus status =
@@ -673,11 +504,6 @@ HttpGateway::handleConnection(const std::shared_ptr<Connection> &conn)
             break;
         // Leftover bytes in `buffer` are the next pipelined request.
     }
-
-    ::shutdown(conn->fd, SHUT_RDWR);
-    conn->done.store(true);
-    char byte = 'r';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
 }
 
 std::string
@@ -807,26 +633,12 @@ HttpGateway::handleQuery(const HttpRequest &request, bool &close)
     }
 
     AnyRequest typed;
-    try {
-        Json params =
-            body.has("params") ? body.at("params") : Json::object();
-        typed = decodeRequestParams(*verb, params);
-    } catch (const JsonError &e) {
-        return errorJson(400, id, "bad_request", e.what());
-    }
-
+    std::optional<std::chrono::microseconds> budget;
+    if (auto error = decodeComputeRequest(body, *verb, typed, budget))
+        return errorJson(400, id, error->code, error->message);
     std::optional<Dispatcher::Clock::time_point> deadline;
-    if (body.has("deadline_ms")) {
-        const Json &raw = body.at("deadline_ms");
-        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
-        if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6)
-            return errorJson(400, id, "bad_request",
-                             "deadline_ms must be a number in "
-                             "[0, 3.6e6]");
-        deadline = Dispatcher::Clock::now() +
-                   std::chrono::microseconds(
-                       static_cast<int64_t>(ms * 1000.0));
-    }
+    if (budget)
+        deadline = Dispatcher::Clock::now() + *budget;
 
     // The connection thread blocks for the completion; the promise is
     // shared so the batcher-side completion never touches a stack

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "runtime/hash.hh"
@@ -105,12 +106,17 @@ writeFrame(int fd, const std::string &payload)
 
     std::string frame(reinterpret_cast<char *>(header), 4);
     frame += payload;
+    return writeAll(fd, frame);
+}
 
+bool
+writeAll(int fd, std::string_view bytes)
+{
     size_t done = 0;
-    while (done < frame.size()) {
+    while (done < bytes.size()) {
         // MSG_NOSIGNAL: a peer that vanished mid-write must surface as
         // an error return, not a process-killing SIGPIPE.
-        ssize_t put = ::send(fd, frame.data() + done, frame.size() - done,
+        ssize_t put = ::send(fd, bytes.data() + done, bytes.size() - done,
                              MSG_NOSIGNAL);
         if (put < 0) {
             if (errno == EINTR)
@@ -120,6 +126,82 @@ writeFrame(int fd, const std::string &payload)
         done += static_cast<size_t>(put);
     }
     return true;
+}
+
+void
+serveFrames(int fd, size_t max_frame_bytes,
+            const std::function<bool(const std::string &)> &on_frame,
+            const std::function<void(const Json &)> &reply,
+            const std::function<void()> &on_oversized)
+{
+    std::string payload;
+    while (true) {
+        FrameStatus status = readFrame(fd, payload, max_frame_bytes);
+        if (status == FrameStatus::Oversized) {
+            if (on_oversized)
+                on_oversized();
+            // The payload was never read, so the stream cannot be
+            // resynchronized: answer, then close.
+            reply(makeErrorResponse(
+                Json(), WireError{"oversized_frame",
+                                  "frame exceeds " +
+                                      std::to_string(max_frame_bytes) +
+                                      " bytes"}));
+            break;
+        }
+        if (status != FrameStatus::Ok)
+            break; // EOF, truncated frame, or I/O error: hang up.
+
+        bool proceed = false;
+        try {
+            proceed = on_frame(payload);
+        } catch (const std::exception &e) {
+            // Belt and braces: an exception escaping into the thread
+            // entry would std::terminate the daemon, so no request —
+            // however hostile — may throw past here. Answer, hang up.
+            reply(makeErrorResponse(
+                Json(), WireError{"internal_error", e.what()}));
+        }
+        if (!proceed)
+            break;
+    }
+    // Surface EOF to the peer, then discard whatever it still has in
+    // flight (bounded by a receive timeout): a hard close with unread
+    // bytes queued — e.g. after an oversized frame — would RST the
+    // connection and could destroy the final response before the peer
+    // reads it.
+    ::shutdown(fd, SHUT_WR);
+    timeval tv{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    char sink[256];
+    while (::read(fd, sink, sizeof(sink)) > 0) {
+    }
+}
+
+std::optional<WireError>
+parseRequestFrame(const std::string &payload, Json &request, Json &id,
+                  Verb &verb)
+{
+    try {
+        request = Json::parse(payload);
+    } catch (const JsonError &e) {
+        return WireError{"malformed_frame", e.what()};
+    }
+    if (!request.isObject())
+        return WireError{"malformed_frame",
+                         "request must be a JSON object"};
+
+    id = request.has("id") ? request.at("id") : Json();
+
+    if (!request.has("verb") || !request.at("verb").isString())
+        return WireError{"bad_request", "missing string field 'verb'"};
+    const std::string &verb_name = request.at("verb").asString();
+    std::optional<Verb> known = verbFromName(verb_name);
+    if (!known)
+        return WireError{"unknown_verb",
+                         "unknown verb '" + verb_name + "'"};
+    verb = *known;
+    return std::nullopt;
 }
 
 Json

@@ -51,8 +51,10 @@
 #define VN_SERVICE_PROTOCOL_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "service/json.hh"
 
@@ -132,6 +134,37 @@ FrameStatus readFrame(int fd, std::string &payload, size_t max_bytes);
 
 /** Write one frame (retries partial writes); false on error/EPIPE. */
 bool writeFrame(int fd, const std::string &payload);
+
+/**
+ * Write every byte to socket `fd`, retrying partial writes and EINTR.
+ * MSG_NOSIGNAL: a vanished peer is a false return, never SIGPIPE.
+ */
+bool writeAll(int fd, std::string_view bytes);
+
+/**
+ * Serve one framed connection: read frames from `fd` and pass each to
+ * `on_frame` until the peer hangs up, the stream breaks, or `on_frame`
+ * returns false. An oversized frame (`on_oversized` runs first) and an
+ * exception escaping `on_frame` are answered through `reply` with
+ * `oversized_frame` / `internal_error`, and end the connection. On the
+ * way out the write side is half-closed and the peer's in-flight bytes
+ * are drained (bounded by a 1 s receive timeout), so a RST cannot
+ * destroy the final response before the peer reads it.
+ */
+void serveFrames(int fd, size_t max_frame_bytes,
+                 const std::function<bool(const std::string &)> &on_frame,
+                 const std::function<void(const Json &)> &reply,
+                 const std::function<void()> &on_oversized = {});
+
+/**
+ * Validate a request frame's envelope: a JSON object whose `verb` is a
+ * known verb name. Fills `request`, `id` (null when absent) and
+ * `verb`; on failure returns the answer to send (`malformed_frame`,
+ * `bad_request` or `unknown_verb`), to be echoed with `id`.
+ */
+std::optional<WireError> parseRequestFrame(const std::string &payload,
+                                           Json &request, Json &id,
+                                           Verb &verb);
 
 /** Build the JSON envelope of a success response. */
 Json makeOkResponse(const Json &id, Json result);

@@ -1,19 +1,10 @@
 #include "service/server.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
 #include "analysis/campaigns.hh"
 #include "runtime/cache.hh"
@@ -25,37 +16,6 @@ namespace vn::service
 
 namespace
 {
-
-/** Wake-pipe write end for the signal handlers (one server/process). */
-std::atomic<int> g_signal_wake_fd{-1};
-
-/** Shutdown signals received since installSignalHandlers(). */
-std::atomic<int> g_signal_count{0};
-
-extern "C" void
-handleShutdownSignal(int)
-{
-    if (g_signal_count.fetch_add(1, std::memory_order_relaxed) >= 1) {
-        // Second signal: the operator is done waiting for the
-        // graceful drain. _exit is async-signal-safe and skips every
-        // destructor — nothing below may be trusted mid-drain anyway.
-        ::_exit(130);
-    }
-    int fd = g_signal_wake_fd.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        char byte = 's';
-        // Best effort: a full pipe means a wake-up is already pending.
-        [[maybe_unused]] ssize_t rc = ::write(fd, &byte, 1);
-    }
-}
-
-void
-setCloexec(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFD);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
 
 /** Interpolated percentile of an unsorted sample (p in [0,100]). */
 double
@@ -75,7 +35,8 @@ percentileOf(std::vector<double> samples, double p)
 } // namespace
 
 Server::Server(const AnalysisContext &ctx, ServerConfig config)
-    : config_(config)
+    : config_(config),
+      listener_("Server", config_.port, config_.send_timeout_s)
 {
     if (config_.port < 0 || config_.port > 65535)
         fatal("Server: port must be in [0, 65535]");
@@ -111,45 +72,12 @@ Server::start()
     if (started_)
         fatal("Server: start() called twice");
 
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("Server: pipe: ", std::strerror(errno));
-    wake_read_fd_ = pipe_fds[0];
-    wake_write_fd_ = pipe_fds[1];
-    setCloexec(wake_read_fd_);
-    setCloexec(wake_write_fd_);
-
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-        fatal("Server: socket: ", std::strerror(errno));
-    setCloexec(listen_fd_);
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    // Loopback only: vnoised is a local co-processor, not an exposed
-    // network service.
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("Server: bind 127.0.0.1:", config_.port, ": ",
-              std::strerror(errno));
-    if (::listen(listen_fd_, 64) != 0)
-        fatal("Server: listen: ", std::strerror(errno));
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("Server: getsockname: ", std::strerror(errno));
-    port_ = ntohs(addr.sin_port);
-
     started_at_ = Dispatcher::Clock::now();
     dispatcher_->start();
     started_ = true;
-    accept_thread_ = std::thread([this] { acceptLoop(); });
+    listener_.start([this](const std::shared_ptr<Connection> &conn) {
+        handleConnection(conn);
+    });
 
     if (config_.http_port >= 0) {
         HttpConfig http = config_.http;
@@ -158,7 +86,7 @@ Server::start()
             dispatcher_.get(), metrics_, http,
             HttpGateway::Hooks{
                 [this] { return statsJson(); },
-                [this] { return shutting_down_.load(); },
+                [this] { return listener_.stopping(); },
             });
         http_->start();
     }
@@ -167,24 +95,13 @@ Server::start()
 void
 Server::installSignalHandlers()
 {
-    if (!started_)
-        fatal("Server: installSignalHandlers() before start()");
-    g_signal_wake_fd.store(wake_write_fd_, std::memory_order_relaxed);
-    g_signal_count.store(0, std::memory_order_relaxed);
-    struct sigaction action{};
-    action.sa_handler = handleShutdownSignal;
-    sigemptyset(&action.sa_mask);
-    ::sigaction(SIGINT, &action, nullptr);
-    ::sigaction(SIGTERM, &action, nullptr);
+    listener_.installSignalHandlers();
 }
 
 void
 Server::beginShutdown()
 {
-    if (shutting_down_.exchange(true))
-        return;
-    char byte = 'q';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
+    listener_.requestStop();
 }
 
 void
@@ -194,8 +111,7 @@ Server::wait()
         return;
     waited_ = true;
 
-    if (accept_thread_.joinable())
-        accept_thread_.join();
+    listener_.awaitStop();
 
     // Drain first: everything already admitted completes and its
     // response is written before any connection is torn down. With a
@@ -217,267 +133,65 @@ Server::wait()
         dispatcher_->drain();
     }
 
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        conns.swap(connections_);
-    }
-    for (auto &conn : conns) {
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        conn->open.store(false);
-        if (conn->fd >= 0)
-            ::shutdown(conn->fd, SHUT_RDWR);
-    }
-    for (auto &conn : conns)
-        if (conn->reader.joinable())
-            conn->reader.join();
-    for (auto &conn : conns)
-        if (conn->fd >= 0) {
-            ::close(conn->fd);
-            conn->fd = -1;
-        }
+    listener_.stop(SHUT_RDWR);
 
     // The gateway outlives the drain so in-flight `/v1/query`
     // responses (completed by the drain above) are still written and
     // `/readyz` reports "draining" until the very end.
     if (http_)
         http_->stop();
-
-    if (g_signal_wake_fd.load() == wake_write_fd_)
-        g_signal_wake_fd.store(-1);
-    ::close(listen_fd_);
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
 }
 
 ServerCounters
 Server::serverCounters() const
 {
     std::lock_guard<std::mutex> lock(counters_mutex_);
-    return counters_;
-}
-
-size_t
-Server::liveConnectionsForTest() const
-{
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    return connections_.size();
+    ServerCounters counters = counters_;
+    counters.connections = listener_.accepted();
+    return counters;
 }
 
 void
-Server::reapConnections()
+Server::handleConnection(const std::shared_ptr<Connection> &conn)
 {
-    std::vector<std::shared_ptr<Connection>> finished;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        auto live_end = std::partition(
-            connections_.begin(), connections_.end(),
-            [](const std::shared_ptr<Connection> &c) {
-                return !c->done.load();
-            });
-        finished.assign(live_end, connections_.end());
-        connections_.erase(live_end, connections_.end());
-    }
-    for (auto &conn : finished)
-        if (conn->reader.joinable())
-            conn->reader.join();
-}
-
-void
-Server::acceptLoop()
-{
-    while (true) {
-        pollfd fds[2] = {
-            {listen_fd_, POLLIN, 0},
-            {wake_read_fd_, POLLIN, 0},
-        };
-        int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0) {
-            // Drain the wake pipe: 'r' asks for a connection reap,
-            // anything else ('q' from beginShutdown, 's' from a
-            // signal) means shutdown.
-            char buf[64];
-            ssize_t got = ::read(wake_read_fd_, buf, sizeof(buf));
-            bool quit = shutting_down_.load();
-            for (ssize_t i = 0; i < got; ++i)
-                quit = quit || buf[i] != 'r';
-            reapConnections();
-            if (quit) {
-                shutting_down_.store(true);
-                return;
-            }
-        }
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setCloexec(fd);
-        if (config_.send_timeout_s > 0.0) {
-            timeval tv{};
-            tv.tv_sec = static_cast<time_t>(config_.send_timeout_s);
-            tv.tv_usec = static_cast<suseconds_t>(
-                (config_.send_timeout_s -
-                 static_cast<double>(tv.tv_sec)) *
-                1e6);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        }
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            // Connection ordinal doubles as the WFQ flow identity:
-            // stable for the connection's lifetime, never reused.
-            conn->client_id = ++counters_.connections;
-        }
-        {
-            std::lock_guard<std::mutex> lock(connections_mutex_);
-            connections_.push_back(conn);
-        }
-        // conn->reader is only touched by this thread (start here,
-        // join in reapConnections) or after it exits (wait()).
-        conn->reader = std::thread([this, conn] {
-            handleConnection(conn);
-        });
-    }
-}
-
-void
-Server::handleConnection(std::shared_ptr<Connection> conn)
-{
-    std::string payload;
-    while (true) {
-        FrameStatus status =
-            readFrame(conn->fd, payload, config_.max_frame_bytes);
-        if (status == FrameStatus::Oversized) {
+    serveFrames(
+        conn->fd, config_.max_frame_bytes,
+        [this, &conn](const std::string &payload) {
             {
                 std::lock_guard<std::mutex> lock(counters_mutex_);
-                ++counters_.oversized;
+                ++counters_.frames;
             }
-            // The payload was never read, so the stream cannot be
-            // resynchronized: answer, then close.
-            sendJson(*conn,
-                     makeErrorResponse(
-                         Json(),
-                         WireError{"oversized_frame",
-                                   "frame exceeds " +
-                                       std::to_string(
-                                           config_.max_frame_bytes) +
-                                       " bytes"}));
-            break;
-        }
-        if (status != FrameStatus::Ok)
-            break; // EOF, truncated frame, or I/O error: hang up.
-
-        {
+            return handleFrame(conn, payload);
+        },
+        [this, &conn](const Json &response) { sendJson(*conn, response); },
+        [this] {
             std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.frames;
-        }
-        bool proceed = false;
-        try {
-            proceed = handleFrame(conn, payload);
-        } catch (const std::exception &e) {
-            // Belt and braces: an exception escaping into the thread
-            // entry would std::terminate the daemon, so no request —
-            // however hostile — may throw past here. Answer, hang up.
-            sendJson(*conn,
-                     makeErrorResponse(
-                         Json(),
-                         WireError{"internal_error", e.what()}));
-        }
-        if (!proceed)
-            break;
-    }
-    // Surface EOF to the peer, then discard whatever it still has in
-    // flight (bounded by a receive timeout): a hard close with unread
-    // bytes queued — e.g. after an oversized frame — would RST the
-    // connection and could destroy the final response before the peer
-    // reads it.
-    ::shutdown(conn->fd, SHUT_WR);
-    timeval tv{1, 0};
-    ::setsockopt(conn->fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    char sink[256];
-    while (::read(conn->fd, sink, sizeof(sink)) > 0) {
-    }
-
-    // Tear the connection down here rather than at server shutdown: a
-    // long-running daemon must not accumulate one fd per short-lived
-    // client. Closing under the write mutex means a completion firing
-    // on the batcher thread either already finished its write or sees
-    // open == false and skips.
-    {
-        std::lock_guard<std::mutex> lock(conn->write_mutex);
-        conn->open.store(false);
-        ::close(conn->fd);
-        conn->fd = -1;
-    }
-    conn->done.store(true);
-    // Ask the accept loop to join this thread and drop the entry.
-    char byte = 'r';
-    [[maybe_unused]] ssize_t rc = ::write(wake_write_fd_, &byte, 1);
+            ++counters_.oversized;
+        });
 }
 
 bool
 Server::handleFrame(const std::shared_ptr<Connection> &conn,
                     const std::string &payload)
 {
-    Json request;
-    try {
-        request = Json::parse(payload);
-    } catch (const JsonError &e) {
+    // Rejected requests are counted by kind, then answered.
+    auto reject = [&](const Json &id, const WireError &error) {
         {
             std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.malformed;
+            ++(error.code == "malformed_frame" ? counters_.malformed
+               : error.code == "unknown_verb"  ? counters_.unknown_verbs
+                                               : counters_.bad_requests);
         }
-        sendJson(*conn,
-                 makeErrorResponse(
-                     Json(), WireError{"malformed_frame", e.what()}));
+        sendJson(*conn, makeErrorResponse(id, error));
         return true;
-    }
-    if (!request.isObject()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.malformed;
-        sendJson(*conn,
-                 makeErrorResponse(
-                     Json(),
-                     WireError{"malformed_frame",
-                               "request must be a JSON object"}));
-        return true;
-    }
+    };
 
-    Json id = request.has("id") ? request.at("id") : Json();
+    Json request, id;
+    Verb verb{};
+    if (auto error = parseRequestFrame(payload, request, id, verb))
+        return reject(id, *error);
 
-    if (!request.has("verb") || !request.at("verb").isString()) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.bad_requests;
-        sendJson(*conn,
-                 makeErrorResponse(
-                     id, WireError{"bad_request",
-                                   "missing string field 'verb'"}));
-        return true;
-    }
-    std::string verb_name = request.at("verb").asString();
-    std::optional<Verb> verb = verbFromName(verb_name);
-    if (!verb) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.unknown_verbs;
-        sendJson(*conn,
-                 makeErrorResponse(
-                     id, WireError{"unknown_verb",
-                                   "unknown verb '" + verb_name +
-                                       "'"}));
-        return true;
-    }
-
-    switch (*verb) {
+    switch (verb) {
     case Verb::Ping: {
         // Inline interactive verbs bypass the queue entirely; their
         // handling time feeds the interactive-tier histogram so the
@@ -521,49 +235,18 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
     }
 
     AnyRequest typed;
-    try {
-        Json params =
-            request.has("params") ? request.at("params") : Json::object();
-        typed = decodeRequestParams(*verb, params);
-    } catch (const JsonError &e) {
-        {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-        }
-        sendJson(*conn,
-                 makeErrorResponse(
-                     id, WireError{"bad_request", e.what()}));
-        return true;
-    }
-
+    std::optional<std::chrono::microseconds> budget;
+    if (auto error = decodeComputeRequest(request, verb, typed, budget))
+        return reject(id, *error);
     std::optional<Dispatcher::Clock::time_point> deadline;
-    if (request.has("deadline_ms")) {
-        // isNumber() first: asNumber() on a string/null/... throws,
-        // and an exception escaping here would terminate the daemon.
-        const Json &raw = request.at("deadline_ms");
-        double ms = raw.isNumber() ? raw.asNumber() : -1.0;
-        if (!raw.isNumber() || !(ms >= 0) || ms > 3.6e6) {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            ++counters_.bad_requests;
-            sendJson(*conn,
-                     makeErrorResponse(
-                         id,
-                         WireError{
-                             "bad_request",
-                             "deadline_ms must be a number in "
-                             "[0, 3.6e6]"}));
-            return true;
-        }
-        deadline = Dispatcher::Clock::now() +
-                   std::chrono::microseconds(
-                       static_cast<int64_t>(ms * 1000.0));
-    }
+    if (budget)
+        deadline = Dispatcher::Clock::now() + *budget;
 
     bool accept_stream = request.boolOr("accept_stream", false);
-    std::string verb_name_owned = verb_name;
+    std::string verb_name = verbName(verb);
     dispatcher_->submit(
         std::move(typed), deadline,
-        [this, conn, id, accept_stream, verb_name_owned](
+        [this, conn, id, accept_stream, verb_name](
             std::variant<AnyResult, WireError> outcome) {
             if (std::holds_alternative<WireError>(outcome)) {
                 sendJson(*conn,
@@ -596,9 +279,11 @@ Server::handleFrame(const std::shared_ptr<Connection> &conn,
                                      "receive it chunked"}));
                 return;
             }
-            sendStream(*conn, id, verb_name_owned, text);
+            sendStream(*conn, id, verb_name, text);
         },
-        conn->client_id);
+        // The accept ordinal doubles as the WFQ flow identity: stable
+        // for the connection's lifetime, never reused.
+        conn->ordinal);
     return true;
 }
 

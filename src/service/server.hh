@@ -3,10 +3,10 @@
  * vnoised: the TCP daemon serving the simulator over the framed JSON
  * protocol (protocol.hh).
  *
- * One accept thread poll()s the loopback listen socket plus a
- * self-pipe; each accepted connection gets a reader thread that
- * decodes frames, answers the control verbs (ping/stats/shutdown)
- * inline, and hands compute verbs to the Dispatcher. Responses are
+ * A Listener (listener.hh) accepts loopback connections; each gets a
+ * reader thread that decodes frames, answers the control verbs
+ * (ping/stats/shutdown) inline, and hands compute verbs to the
+ * Dispatcher. Responses are
  * written under a per-connection mutex, so a completion firing on the
  * batcher thread never interleaves bytes with an inline control
  * response.
@@ -25,11 +25,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "service/dispatcher.hh"
 #include "service/http.hh"
+#include "service/listener.hh"
 #include "service/metrics.hh"
 
 namespace vn::service
@@ -135,7 +134,7 @@ class Server
     void start();
 
     /** The bound port (resolves port 0 after start()). */
-    int port() const { return port_; }
+    int port() const { return listener_.port(); }
 
     /** Bound HTTP gateway port after start(); -1 when disabled. */
     int httpPort() const { return http_ ? http_->port() : -1; }
@@ -197,22 +196,15 @@ class Server
     }
 
     /** Connections not yet reaped (live + finished-but-unjoined). */
-    size_t liveConnectionsForTest() const;
+    size_t liveConnectionsForTest() const
+    {
+        return listener_.liveConnections();
+    }
 
   private:
-    struct Connection
-    {
-        int fd = -1;
-        std::mutex write_mutex;
-        std::atomic<bool> open{true};
-        std::thread reader;            //!< joined by the reaper/wait()
-        std::atomic<bool> done{false}; //!< reader exited; fd closed
-        uint64_t client_id = 0;        //!< WFQ flow identity
-    };
+    using Connection = Listener::Connection;
 
-    void acceptLoop();
-    void reapConnections();
-    void handleConnection(std::shared_ptr<Connection> conn);
+    void handleConnection(const std::shared_ptr<Connection> &conn);
     bool handleFrame(const std::shared_ptr<Connection> &conn,
                      const std::string &payload);
     void sendJson(Connection &conn, const Json &response);
@@ -228,22 +220,15 @@ class Server
     std::unique_ptr<Dispatcher> dispatcher_;
     std::unique_ptr<HttpGateway> http_;
 
-    int listen_fd_ = -1;
-    int wake_read_fd_ = -1;
-    int wake_write_fd_ = -1;
-    int port_ = 0;
-    std::atomic<bool> shutting_down_{false};
     std::atomic<bool> drained_cleanly_{true};
     bool started_ = false;
     bool waited_ = false;
-    std::thread accept_thread_;
     Dispatcher::Clock::time_point started_at_;
-
-    mutable std::mutex connections_mutex_;
-    std::vector<std::shared_ptr<Connection>> connections_;
 
     mutable std::mutex counters_mutex_;
     ServerCounters counters_;
+
+    Listener listener_; //!< last: its handlers use the members above
 };
 
 } // namespace vn::service

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -425,6 +426,27 @@ TEST(Router, MetricsGatewayExposesRingStateAndDrains)
 
 // ---------------------------------------------------------------------
 // RouterForward: the relay contract for backpressure.
+
+TEST(RouterDeathTest, SecondSignalExitsAtOnceWith130)
+{
+    // Same rule as vnoised: the first SIGTERM starts the drain, a
+    // second ends the process at once with status 130 — a wedged
+    // router shutdown never needs kill -9.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            RouterConfig config;
+            config.backends.push_back(BackendConfig{"b0", 1, -1});
+            Router router(config);
+            router.start();
+            router.installSignalHandlers();
+            std::raise(SIGTERM);
+            std::raise(SIGTERM);
+            router.wait();
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(130), "");
+}
 
 TEST(RouterForward, RetryAfterHintSurvivesTheRelayUnmodified)
 {

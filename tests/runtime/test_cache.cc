@@ -15,12 +15,19 @@ namespace
 
 using namespace vn::runtime;
 
+/**
+ * Each test gets its own directory, named after it: ctest runs every
+ * test as its own process, concurrently under -j, so a shared one
+ * would let one test's SetUp() delete another's entries.
+ */
 class CacheTest : public ::testing::Test
 {
   protected:
     void SetUp() override { std::filesystem::remove_all(dir_); }
     void TearDown() override { std::filesystem::remove_all(dir_); }
-    std::string dir_ = "result_cache_test";
+    std::string dir_ =
+        std::string("result_cache_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
 };
 
 TEST_F(CacheTest, KeyDependsOnScopeKeyAndVersion)

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -719,6 +720,53 @@ TEST(Faultnet, RefusedConnectionIsAbsorbedByOneRetry)
     EXPECT_EQ(counters.retries, 1u);
     EXPECT_EQ(counters.failures, 0u);
     EXPECT_EQ(proxy.counters().refused, 1u);
+
+    proxy.stop();
+    server.beginShutdown();
+    server.wait();
+}
+
+TEST(Faultnet, CutRelayedToAResetClientDoesNotKillTheProxy)
+{
+    auto ctx = bareContext();
+    Server server(ctx, ServerConfig{});
+    server.start();
+
+    // Request 0 relays intact, but only after its client is gone: the
+    // client's kernel answers that response with a RST. Request 1's
+    // response is then cut into the reset connection — a write that
+    // must fail as an error return, not raise SIGPIPE and kill the
+    // process.
+    FaultProxy proxy(server.port(),
+                     FaultSchedule().delayMs(0, 50.0).cutMidFrame(1, 9));
+    proxy.start();
+
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<uint16_t>(proxy.port()));
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    for (int i = 0; i < 2; ++i) {
+        Json request = Json::object();
+        request.set("id", Json::number(i));
+        request.set("verb", Json::str("ping"));
+        ASSERT_TRUE(writeFrame(fd, request.dump()));
+    }
+    ::close(fd); // nothing unread: a FIN now, the RST comes later
+
+    for (int i = 0; i < 300 && proxy.counters().injected_cuts == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    FaultProxyCounters counters = proxy.counters();
+    EXPECT_EQ(counters.injected_cuts, 1u);
+    EXPECT_EQ(counters.forwarded, 1u);
+
+    // The proxy (and this process) survived and still relays.
+    Client client(proxy.port());
+    EXPECT_EQ(client.ping(), kProtocolVersion);
 
     proxy.stop();
     server.beginShutdown();

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -389,6 +390,28 @@ TEST(Service, SigtermDrainsInFlightRequestsBeforeExit)
 
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
+}
+
+TEST(ServiceDeathTest, SecondSignalExitsAtOnceWith130)
+{
+    // The first SIGTERM starts the graceful drain; an operator done
+    // waiting on it sends a second, which must end the process at
+    // once with status 130 instead of running the drain to the end
+    // (which would exit 0 here).
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            vn::AnalysisContext ctx; // no kit: nothing computes
+            ctx.campaign.cache_dir.clear();
+            Server server(ctx, ServerConfig{});
+            server.start();
+            server.installSignalHandlers();
+            std::raise(SIGTERM);
+            std::raise(SIGTERM);
+            server.wait();
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(130), "");
 }
 
 TEST(Service, DrainTimeoutBoundsShutdownWithAWedgedBatcher)

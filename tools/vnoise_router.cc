@@ -38,7 +38,9 @@ usage(std::FILE *out)
         "/healthz, /readyz; negative disables).\n"
         "--backends is comma-separated: PORT, NAME=PORT, or\n"
         "NAME=PORT:HTTPPORT (the last form makes the health probe\n"
-        "consult the backend's drain-aware /readyz).\n",
+        "consult the backend's drain-aware /readyz).\n"
+        "SIGINT/SIGTERM drains in-flight forwards and exits; a second\n"
+        "SIGINT/SIGTERM forces immediate exit (status 130).\n",
         vn::service::kDefaultRouterPort,
         vn::service::kDefaultRouterHttpPort);
 }
