@@ -5,7 +5,9 @@
 # the faultnet determinism suite under two seeds, run the router
 # fleet fault replay, and finish with the kill-resume campaign replay
 # (SIGKILL mid-flight, --resume, byte-identical artifacts) under two
-# seeds. This is the gate a change must pass before merging.
+# seeds, then rerun the full suite at twice the parallelism with every
+# test repeated three times. This is the gate a change must pass before
+# merging.
 # (CI additionally runs the serving tests under ASan+UBSan; locally:
 #  cmake --preset asan && cmake --build --preset asan &&
 #  ctest --preset asan.)
@@ -113,5 +115,13 @@ for seed in 17 42; do
         --gtest_filter='FaultFsDeterminism.*'
     scripts/kill_resume_replay.sh "$seed"
 done
+
+echo "== tier 8: full test suite at 2x parallelism, repeated =="
+# Tests that share state behind each other's backs (a fixed scratch
+# directory, a process-global cache) pass serially and at -j nproc
+# most of the time; oversubscribing the machine and repeating every
+# test makes such a flake fail here instead of in a later change.
+ctest --test-dir build --output-on-failure -j "$((2 * jobs))" \
+    --repeat until-fail:3
 
 echo "== all checks passed =="

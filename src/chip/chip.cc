@@ -126,6 +126,7 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
 
     PowerMeter meter;
     std::array<RunningStats, kNumCores> vstats;
+    double v_floor = result.v_floor;
     unsigned trace_phase = 0;
 
     const auto steps =
@@ -137,6 +138,7 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
 
         for (int c = 0; c < kNumCores; ++c) {
             double v = sim.nodeVoltage(pdn_.core_node[c]);
+            v_floor = std::min(v_floor, v);
             if (t >= options.warmup) {
                 skitters[c].sample(v);
                 vstats[c].add(v);
@@ -184,6 +186,7 @@ ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
         result.shared[u].v_max = shared_vstats[u].max();
         result.shared[u].v_mean = shared_vstats[u].mean();
     }
+    result.v_floor = v_floor;
     result.avg_power_watts = meter.averageWatts();
     return result;
 }
@@ -283,6 +286,7 @@ ChipModel::runBatch(
 
             for (int c = 0; c < kNumCores; ++c) {
                 double v = sim.nodeVoltage(k, pdn_.core_node[c]);
+                result.v_floor = std::min(result.v_floor, v);
                 if (t >= options.warmup) {
                     ls.skitters[c].sample(v);
                     ls.vstats[c].add(v);

@@ -14,6 +14,7 @@
 #define VN_CHIP_CHIP_HH
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -85,7 +86,11 @@ struct CoreRunResult
     double p2p = 0.0;     //!< skitter %p2p over the window
     int min_latch = 0;    //!< deepest latch position touched
     int max_latch = 0;
-    double v_min = 0.0;   //!< minimum instantaneous VDie
+    /**
+     * Lowest VDie after warm-up. The R-Unit also checks the warm-up
+     * samples; ChipRunResult::v_floor is the minimum it sees.
+     */
+    double v_min = 0.0;
     double v_max = 0.0;
     double v_mean = 0.0;
 };
@@ -110,6 +115,13 @@ struct ChipRunResult
     bool failed = false;       //!< R-Unit detected a timing violation
     double failure_time = 0.0; //!< first violation instant
     int failing_core = -1;
+
+    /**
+     * Lowest core VDie at any step the run sampled, warm-up included:
+     * the quantity the R-Unit checks. CoreRunResult::v_min skips the
+     * warm-up, so it cannot stand in for this.
+     */
+    double v_floor = std::numeric_limits<double>::infinity();
 
     double avg_power_watts = 0.0; //!< input-rail average
     double duration = 0.0;

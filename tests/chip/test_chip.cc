@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "chip/chip.hh"
 #include "chip/vmin.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace
 {
@@ -34,7 +39,9 @@ squareWave(double freq_hz, bool sync, uint64_t offset_ticks = 0)
     return vn::CoreActivity(loop, s);
 }
 
-std::array<vn::CoreActivity, vn::kNumCores>
+using Workloads = std::array<vn::CoreActivity, vn::kNumCores>;
+
+Workloads
 allCores(const vn::CoreActivity &a)
 {
     return {a, a, a, a, a, a};
@@ -242,6 +249,213 @@ TEST(VminTest, StepCountReported)
     EXPECT_GE(r.steps, 2);
     EXPECT_NEAR(r.bias_at_failure,
                 0.02 * static_cast<double>(r.steps - 1), 1e-12);
+}
+
+// The undervolt sweep without the bias-0 skip rule: a fresh chip and a
+// stop_on_failure transient at every step until the first failure.
+vn::VminResult
+referenceSweep(const vn::ChipConfig &base, double bias_step,
+               double max_bias, const Workloads &workloads, double window)
+{
+    vn::VminResult result;
+    vn::RunOptions options;
+    options.stop_on_failure = true;
+    for (double bias = 0.0; bias <= max_bias + 1e-12; bias += bias_step) {
+        vn::ChipConfig config = base;
+        config.bias = bias;
+        vn::ChipModel chip(config);
+        ++result.steps;
+        auto outcome = chip.run(workloads, window, options);
+        if (outcome.failed) {
+            result.bias_at_failure = bias;
+            result.failed = true;
+            result.failing_core = outcome.failing_core;
+            return result;
+        }
+    }
+    result.bias_at_failure = max_bias;
+    return result;
+}
+
+// Largest |v_b(t) - (v_0(t) - shift)| over every core sample: how far
+// an exact run at `bias` strays from the shifted bias-0 run.
+double
+linearityDrift(const vn::ChipConfig &base, double bias,
+               const Workloads &workloads, double window)
+{
+    vn::RunOptions capture;
+    capture.capture_traces = true;
+    vn::ChipConfig nominal = base;
+    nominal.bias = 0.0;
+    vn::ChipConfig undervolted = base;
+    undervolted.bias = bias;
+    auto v0 = vn::ChipModel(nominal).run(workloads, window, capture);
+    auto vb = vn::ChipModel(undervolted).run(workloads, window, capture);
+    double shift = base.pdn.vnom - base.pdn.vnom * (1.0 - bias);
+    double drift = 0.0;
+    for (int c = 0; c < vn::kNumCores; ++c) {
+        EXPECT_EQ(v0.traces[c].size(), vb.traces[c].size());
+        for (size_t i = 0; i < v0.traces[c].size(); ++i)
+            drift = std::max(
+                drift, std::fabs(vb.traces[c][i] - (v0.traces[c][i] - shift)));
+    }
+    return drift;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(VminTest, SkipRuleMatchesReferenceSweep)
+{
+    struct Case
+    {
+        std::string name;
+        Workloads workloads;
+        double window;
+        double bias_step;
+        double max_bias = 0.15;
+        vn::ChipConfig config{};
+    };
+    vn::ChipConfig base;
+    auto idle = vn::ChipModel(base).idleActivity();
+
+    std::vector<Case> cases;
+    cases.push_back({"idle", allCores(idle), 4e-6, 0.01});
+    const double sync_freqs[] = {0.3e6, 1.0e6, 2.6e6, 4.5e6};
+    const double sync_steps[] = {0.005, 0.01, 0.02, 0.005};
+    for (int i = 0; i < 4; ++i)
+        cases.push_back({"sync f=" + std::to_string(sync_freqs[i]),
+                         allCores(squareWave(sync_freqs[i], true)), 20e-6,
+                         sync_steps[i]});
+
+    // Misaligned copies: each core reaches the TOD barrier a few ticks
+    // after its neighbour.
+    Workloads misaligned = allCores(idle);
+    for (int c = 0; c < vn::kNumCores; ++c)
+        misaligned[c] =
+            squareWave(2.6e6, true, static_cast<uint64_t>(3 * c));
+    cases.push_back({"misaligned", misaligned, 20e-6, 0.01});
+
+    // Free-running copies from seeded random start phases.
+    const double free_freq = 1.5e6;
+    std::vector<vn::ActivityPhase> free_loop;
+    for (int e = 0; e < 500; ++e) {
+        free_loop.push_back({kHighPower, 0.5 / free_freq});
+        free_loop.push_back({kLowPower, 0.5 / free_freq});
+    }
+    for (uint64_t seed : {1u, 2u}) {
+        vn::Rng rng(seed);
+        Workloads free_running = allCores(idle);
+        for (int c = 0; c < vn::kNumCores; ++c)
+            free_running[c] = vn::CoreActivity(
+                free_loop, std::nullopt,
+                {{kLowPower, rng.uniform() / free_freq}});
+        cases.push_back({"free seed=" + std::to_string(seed), free_running,
+                         10e-6, 0.005});
+    }
+
+    // Never fails: the idle margin lies beyond max_bias.
+    cases.push_back({"no failure", allCores(idle), 4e-6, 0.02, 0.06});
+
+    // Fails at nominal: a slower critical path leaves no margin.
+    Case at_nominal{"fails at bias 0", allCores(squareWave(2.6e6, true)),
+                    20e-6, 0.005};
+    at_nominal.config.critpath.nominal_path_fraction = 0.75;
+    cases.push_back(at_nominal);
+
+    bool saw_no_failure = false;
+    bool saw_nominal_failure = false;
+    bool saw_skipped_steps = false;
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(tc.name);
+        vn::VminExperiment vmin(tc.config, tc.bias_step, tc.max_bias);
+        auto got = vmin.run(tc.workloads, tc.window);
+        auto want = referenceSweep(tc.config, tc.bias_step, tc.max_bias,
+                                   tc.workloads, tc.window);
+        EXPECT_TRUE(sameBits(got.bias_at_failure, want.bias_at_failure))
+            << got.bias_at_failure << " vs " << want.bias_at_failure;
+        EXPECT_EQ(got.failed, want.failed);
+        EXPECT_EQ(got.failing_core, want.failing_core);
+        EXPECT_EQ(got.steps, want.steps);
+
+        saw_no_failure = saw_no_failure || !want.failed;
+        saw_nominal_failure =
+            saw_nominal_failure || (want.failed && want.steps == 1);
+        saw_skipped_steps =
+            saw_skipped_steps || (want.failed && want.steps > 1);
+        if (want.failed) {
+            EXPECT_LE(linearityDrift(tc.config, want.bias_at_failure,
+                                     tc.workloads, tc.window),
+                      1e-9);
+        }
+    }
+    EXPECT_TRUE(saw_no_failure);
+    EXPECT_TRUE(saw_nominal_failure);
+    EXPECT_TRUE(saw_skipped_steps);
+}
+
+// The bias sequence of the sweep, step by step.
+std::vector<double>
+sweepBiases(double bias_step, double max_bias)
+{
+    std::vector<double> biases;
+    for (double bias = 0.0; bias <= max_bias + 1e-12; bias += bias_step)
+        biases.push_back(bias);
+    return biases;
+}
+
+TEST(VminSweepStartTest, MarginAtToleranceIsNotSkipped)
+{
+    // At bias 0 the shift is exactly zero, so the predicted margin is
+    // v_floor - v_crit = kLinearityTolerance with no rounding.
+    auto start = vn::vminSweepStart(1.05, vn::kLinearityTolerance, 0.0,
+                                    0.005, 0.15);
+    EXPECT_EQ(start.skipped, 0);
+    EXPECT_EQ(start.bias, 0.0);
+}
+
+TEST(VminSweepStartTest, MarginJustAboveToleranceIsSkipped)
+{
+    double floor = std::nextafter(vn::kLinearityTolerance, 1.0);
+    auto start = vn::vminSweepStart(1.05, floor, 0.0, 0.005, 0.15);
+    EXPECT_EQ(start.skipped, 1);
+    EXPECT_EQ(start.bias, 0.005);
+}
+
+TEST(VminSweepStartTest, HighFloorNeedsNoExactRun)
+{
+    auto biases = sweepBiases(0.005, 0.15);
+    auto start = vn::vminSweepStart(1.05, 10.0, 0.9, 0.005, 0.15);
+    EXPECT_EQ(start.skipped, static_cast<int>(biases.size()));
+    EXPECT_GT(start.bias, 0.15 + 1e-12);
+}
+
+TEST(VminSweepStartTest, BiasSequenceMatchesSweep)
+{
+    // A floor placed right at the shifted v_crit of step k stops the
+    // skip walk at step k, on the sweep's own accumulated bias. The
+    // default 0.5% sweep ends at 0.15000000000000005: the endpoint
+    // exists only through the max_bias + 1e-12 slack.
+    const double vnom = 1.05;
+    const double v_crit = 0.9;
+    for (double step : {0.005, 0.01, 0.02}) {
+        for (double max_bias : {0.15, 0.2}) {
+            auto biases = sweepBiases(step, max_bias);
+            for (size_t k = 0; k < biases.size(); ++k) {
+                SCOPED_TRACE("step " + std::to_string(step) + " k " +
+                             std::to_string(k));
+                double shift = vnom - vnom * (1.0 - biases[k]);
+                auto start = vn::vminSweepStart(vnom, v_crit + shift,
+                                                v_crit, step, max_bias);
+                EXPECT_EQ(start.skipped, static_cast<int>(k));
+                EXPECT_TRUE(sameBits(start.bias, biases[k]));
+            }
+        }
+    }
+    EXPECT_GT(sweepBiases(0.005, 0.15).back(), 0.15);
 }
 
 TEST(ChipModelTest, SharedUnitSkittersReadNoise)

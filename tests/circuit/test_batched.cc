@@ -208,6 +208,7 @@ expectSameChipResult(const vn::ChipRunResult &a,
     ASSERT_EQ(a.failed, b.failed);
     ASSERT_TRUE(sameBits(a.failure_time, b.failure_time));
     ASSERT_EQ(a.failing_core, b.failing_core);
+    ASSERT_TRUE(sameBits(a.v_floor, b.v_floor));
     ASSERT_TRUE(sameBits(a.avg_power_watts, b.avg_power_watts));
     ASSERT_TRUE(sameBits(a.duration, b.duration));
     ASSERT_EQ(a.traces.size(), b.traces.size());
@@ -236,6 +237,10 @@ TEST(BatchedBitIdentityTest, ChipRunBatchMatchesScalarRuns)
         SCOPED_TRACE("lane " + std::to_string(i));
         auto scalar = chip.run(workloads[i], 2e-6, options);
         expectSameChipResult(scalar, batched[i]);
+        // v_floor also covers the warm-up, so it bounds every core's
+        // post-warm-up v_min from below.
+        for (const auto &core : scalar.core)
+            EXPECT_LE(scalar.v_floor, core.v_min);
     }
 }
 
@@ -266,7 +271,14 @@ TEST(BatchedBitIdentityTest, RunBatchStopOnFailureFreezesPerLane)
         auto scalar = chip.run(workloads[i], 3e-6, options);
         expectSameChipResult(scalar, batched[i]);
         any_failed = any_failed || scalar.failed;
+        // A lane frozen at its first violation keeps the floor it had
+        // at that step, which is already below v_crit.
+        if (scalar.failed)
+            EXPECT_LT(batched[i].v_floor, chip.criticalVoltage());
+        else
+            EXPECT_GE(batched[i].v_floor, chip.criticalVoltage());
     }
+    EXPECT_TRUE(any_failed);
     EXPECT_FALSE(batched.back().failed);
 }
 
