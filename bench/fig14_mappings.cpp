@@ -56,7 +56,7 @@ main(int argc, char **argv)
     };
 
     // Both mappings ride as lanes of one campaign batch job (cached,
-    // bit-identical to two scalar runs).
+    // bit-identical to two one-lane runs).
     std::array<Mapping, 2> pair = {place({1, 4, 5}), place({0, 2, 4})};
     auto results = study.runMany(pair);
     auto best = results[0];

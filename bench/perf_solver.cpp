@@ -1,19 +1,21 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation substrate: PDN
- * transient stepping (scalar and lane-batched), AC solves, DC
+ * transient stepping (one lane and lane-batched), AC solves, DC
  * operating points, and factorization-cache hits. These bound the
  * wall-clock cost of every experiment harness.
  *
  * Besides the usual google-benchmark CLI, `--table[=OUT.json]` runs a
- * fixed scalar-vs-batched throughput comparison at K in {1, 4, 8, 16}
+ * fixed one-lane-vs-batched throughput comparison at K in {1, 4, 8, 16}
  * and (with a path) writes a machine-readable BENCH_solver.json for
  * the CI regression gate (scripts/bench_gate.py). The JSON includes
  * `calibration_ns` — the wall time of a fixed dependent-FMA reference
  * kernel — so the gate can compare machine-normalized ratios instead
  * of raw nanoseconds across runner generations. Table mode also
- * asserts that every batched lane reproduces the scalar solver
- * bit-for-bit before trusting the timings.
+ * asserts that every batched lane reproduces the one-lane solver
+ * bit-for-bit before trusting the timings. The JSON keeps its
+ * `scalar_ns_per_step` / `speedup_vs_scalar` field names for the
+ * one-lane TransientSolver row.
  */
 
 #include <benchmark/benchmark.h>
@@ -195,9 +197,9 @@ calibrationNs()
     return elapsedNs(t0);
 }
 
-/** ns per step of the scalar solver over `steps` steps. */
+/** ns per step of the one-lane TransientSolver over `steps` steps. */
 double
-scalarNsPerStep(uint64_t steps)
+oneLaneNsPerStep(uint64_t steps)
 {
     vn::TransientSolver sim(pdn().netlist, 1e-9);
     std::vector<double> load(pdn().portCount(), 0.0);
@@ -234,7 +236,7 @@ batchedNsPerLaneStep(size_t lanes, uint64_t steps)
 }
 
 /**
- * Every lane of a 16-lane batch must match a scalar solver fed the
+ * Every lane of a 16-lane batch must match a one-lane solver fed the
  * same stimulus bit-for-bit after 2000 steps. Returns false (and
  * complains) on any divergence — the gate must not bless timings from
  * a solver that broke determinism.
@@ -246,7 +248,7 @@ verifyBitIdentity()
     constexpr uint64_t steps = 2000;
     const size_t ports = pdn().portCount();
 
-    vn::TransientSolver scalar(pdn().netlist, 1e-9);
+    vn::TransientSolver one_lane(pdn().netlist, 1e-9);
     vn::BatchedTransientSolver batched(pdn().netlist, 1e-9, lanes);
 
     std::vector<double> load(ports, 0.0);
@@ -257,21 +259,21 @@ verifyBitIdentity()
         std::memcpy(&lane_load[k * ports], load.data(),
                     ports * sizeof(double));
 
-    scalar.initDcOperatingPoint(load);
+    one_lane.initDcOperatingPoint(load);
     batched.initDcOperatingPoint(lane_load);
     for (uint64_t i = 0; i < steps; ++i) {
-        scalar.step(load);
+        one_lane.step(load);
         batched.step(lane_load);
     }
 
     for (size_t k = 0; k < lanes; ++k) {
         for (int c = 0; c < vn::kNumCores; ++c) {
-            double vs = scalar.nodeVoltage(pdn().core_node[c]);
+            double vs = one_lane.nodeVoltage(pdn().core_node[c]);
             double vb = batched.nodeVoltage(k, pdn().core_node[c]);
             if (std::memcmp(&vs, &vb, sizeof(double)) != 0) {
                 std::fprintf(stderr,
                              "BIT-IDENTITY FAILURE: lane %zu core %d: "
-                             "scalar %.17g != batched %.17g\n",
+                             "one-lane %.17g != batched %.17g\n",
                              k, c, vs, vb);
                 return false;
             }
@@ -289,25 +291,25 @@ runTable(const char *json_path, uint64_t steps)
 
     if (!verifyBitIdentity())
         return 1;
-    std::printf("bit-identity: 16 batched lanes == scalar over 2000 "
+    std::printf("bit-identity: 16 batched lanes == one lane over 2000 "
                 "steps ... OK\n\n");
 
     double calib = calibrationNs();
-    double scalar_ns = scalarNsPerStep(steps);
+    double one_lane_ns = oneLaneNsPerStep(steps);
 
     const size_t ks[] = {1, 4, 8, 16};
     double batched_ns[4];
     std::printf("%-28s %14s %10s\n", "config", "ns/step/lane", "speedup");
-    std::printf("%-28s %14.1f %10s\n", "scalar TransientSolver",
-                scalar_ns, "1.00x");
+    std::printf("%-28s %14.1f %10s\n", "one-lane TransientSolver",
+                one_lane_ns, "1.00x");
     for (int i = 0; i < 4; ++i) {
         batched_ns[i] = batchedNsPerLaneStep(ks[i], steps);
         char name[40];
         std::snprintf(name, sizeof(name), "batched K=%zu", ks[i]);
         std::printf("%-28s %14.1f %9.2fx\n", name, batched_ns[i],
-                    scalar_ns / batched_ns[i]);
+                    one_lane_ns / batched_ns[i]);
     }
-    double speedup_k8 = scalar_ns / batched_ns[2];
+    double speedup_k8 = one_lane_ns / batched_ns[2];
     std::printf("\ncalibration: %.3e ns (reference FMA kernel)\n", calib);
 
     if (json_path != nullptr) {
@@ -321,14 +323,14 @@ runTable(const char *json_path, uint64_t steps)
         std::fprintf(f, "  \"steps\": %llu,\n",
                      static_cast<unsigned long long>(steps));
         std::fprintf(f, "  \"calibration_ns\": %.17g,\n", calib);
-        std::fprintf(f, "  \"scalar_ns_per_step\": %.17g,\n", scalar_ns);
+        std::fprintf(f, "  \"scalar_ns_per_step\": %.17g,\n", one_lane_ns);
         std::fprintf(f, "  \"batched\": [\n");
         for (int i = 0; i < 4; ++i) {
             std::fprintf(f,
                          "    {\"lanes\": %zu, \"ns_per_step_lane\": "
                          "%.17g, \"speedup_vs_scalar\": %.17g}%s\n",
                          ks[i], batched_ns[i],
-                         scalar_ns / batched_ns[i], i < 3 ? "," : "");
+                         one_lane_ns / batched_ns[i], i < 3 ? "," : "");
         }
         std::fprintf(f, "  ],\n");
         std::fprintf(f, "  \"speedup_k8\": %.17g\n", speedup_k8);

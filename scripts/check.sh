@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, run the full test suite, then build the
 # campaign runtime and serving-stack tests under ThreadSanitizer and
-# run them, replay the lane-batched solver bit-identity suite, replay
+# run them, replay the lane-batched solver invariance suite, replay
 # the faultnet determinism suite under two seeds, run the router
 # fleet fault replay, and finish with the kill-resume campaign replay
 # (SIGKILL mid-flight, --resume, byte-identical artifacts) under two
-# seeds, then rerun the full suite at twice the parallelism with every
-# test repeated three times. This is the gate a change must pass before
-# merging.
+# seeds, rerun the full suite at twice the parallelism with every
+# test repeated three times, and finally compare every figure bench's
+# stdout against its recorded sha256 digest. This is the gate a change
+# must pass before merging.
 # (CI additionally runs the serving tests under ASan+UBSan; locally:
 #  cmake --preset asan && cmake --build --preset asan &&
 #  ctest --preset asan.)
@@ -73,9 +74,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_router \
     --gtest_filter='Ring.*:Router.*'
 
 echo "== tier 3: lane-batched solver bit-identity =="
-# The batched transient solver must be byte-identical to the scalar
-# path for every netlist the chip model builds; a codegen or kernel
-# change that breaks this must fail loudly, not as a numeric drift.
+# A lane of the batched transient solver must be byte-identical
+# whatever the batch width or its position in it (the one-lane
+# TransientSolver and ChipModel::run included), and every observation
+# must match its golden digest, for every netlist the chip model
+# builds; a codegen or kernel change that breaks this must fail
+# loudly, not as a numeric drift.
 ./build/tests/test_batched
 
 echo "== tier 4: faultnet determinism under two seeds =="
@@ -123,5 +127,10 @@ echo "== tier 8: full test suite at 2x parallelism, repeated =="
 # test makes such a flake fail here instead of in a later change.
 ctest --test-dir build --output-on-failure -j "$((2 * jobs))" \
     --repeat until-fail:3
+
+echo "== tier 9: figure stdout digests =="
+# Every fig*/ext_*/table1_epi bench at --jobs 4 --no-cache must print
+# exactly the stdout recorded in tests/golden/figure_stdout.sha256.
+scripts/figure_digests.sh --check >/dev/null
 
 echo "== all checks passed =="

@@ -61,7 +61,7 @@ ChipModel::ChipModel(ChipConfig config)
 
     // One LU factorization per (netlist content, dt), interned in the
     // process-wide cache and shared read-only by every run of this
-    // model — scalar or batched, serial or across worker threads.
+    // model, serial or across worker threads.
     fact_ = FactorizationCache::global().get(pdn_.netlist, config_.dt);
 }
 
@@ -75,120 +75,7 @@ ChipRunResult
 ChipModel::run(const std::array<CoreActivity, kNumCores> &workloads,
                double duration, const RunOptions &options) const
 {
-    if (duration <= 0.0)
-        fatal("ChipModel::run(): duration must be > 0");
-
-    std::array<CoreActivity, kNumCores> activity = workloads;
-
-    // Per-core skitters with variation-scaled sensitivity.
-    std::vector<Skitter> skitters;
-    skitters.reserve(kNumCores);
-    for (int c = 0; c < kNumCores; ++c) {
-        SkitterParams sp = config_.skitter;
-        sp.gain *= config_.variation.core[c].skitter_gain_scale;
-        skitters.emplace_back(sp);
-    }
-
-    // Skitters in the shared units (nest/L3, MCU, GX).
-    const std::array<NodeId, kNumSharedUnits> shared_nodes = {
-        pdn_.l3_node, pdn_.mcu_node, pdn_.gx_node};
-    std::vector<Skitter> shared_skitters(
-        kNumSharedUnits, Skitter(config_.skitter));
-    std::array<RunningStats, kNumSharedUnits> shared_vstats;
-
-    TransientSolver sim(fact_);
-
-    std::vector<double> currents(pdn_.portCount(), 0.0);
-    auto fill_currents = [&](bool advance) {
-        for (int c = 0; c < kNumCores; ++c) {
-            double power = advance ? activity[c].advance(config_.dt)
-                                   : activity[c].currentPower();
-            currents[pdn_.core_port[c]] =
-                power * config_.power_unit_amps *
-                config_.variation.core[c].power_scale;
-        }
-        currents[pdn_.l3_port] = config_.nest_amps;
-        currents[pdn_.mcu_port] = config_.mcu_amps;
-        currents[pdn_.gx_port] = config_.gx_amps;
-    };
-
-    fill_currents(false);
-    sim.initDcOperatingPoint(currents);
-
-    ChipRunResult result;
-    result.duration = duration;
-    if (options.capture_traces) {
-        result.traces.assign(
-            kNumCores,
-            Waveform(config_.dt *
-                     static_cast<double>(options.trace_decimation)));
-    }
-
-    PowerMeter meter;
-    std::array<RunningStats, kNumCores> vstats;
-    double v_floor = result.v_floor;
-    unsigned trace_phase = 0;
-
-    const auto steps =
-        static_cast<uint64_t>(std::ceil(duration / config_.dt));
-    for (uint64_t k = 0; k < steps; ++k) {
-        fill_currents(true);
-        sim.step(currents);
-        double t = sim.time();
-
-        for (int c = 0; c < kNumCores; ++c) {
-            double v = sim.nodeVoltage(pdn_.core_node[c]);
-            v_floor = std::min(v_floor, v);
-            if (t >= options.warmup) {
-                skitters[c].sample(v);
-                vstats[c].add(v);
-            }
-            if (!result.failed && critpath_.violates(v)) {
-                result.failed = true;
-                result.failure_time = t;
-                result.failing_core = c;
-            }
-            if (options.capture_traces && trace_phase == 0)
-                result.traces[c].push(v);
-        }
-        if (options.capture_traces &&
-            ++trace_phase == options.trace_decimation) {
-            trace_phase = 0;
-        }
-
-        if (t >= options.warmup) {
-            for (int u = 0; u < kNumSharedUnits; ++u) {
-                double v = sim.nodeVoltage(shared_nodes[u]);
-                shared_skitters[u].sample(v);
-                shared_vstats[u].add(v);
-            }
-        }
-
-        meter.sample(supply_, std::fabs(sim.sourceCurrent(0)));
-
-        if (result.failed && options.stop_on_failure)
-            break;
-    }
-
-    for (int c = 0; c < kNumCores; ++c) {
-        result.core[c].p2p = skitters[c].percentP2p();
-        result.core[c].min_latch = skitters[c].minPosition();
-        result.core[c].max_latch = skitters[c].maxPosition();
-        result.core[c].v_min = vstats[c].min();
-        result.core[c].v_max = vstats[c].max();
-        result.core[c].v_mean = vstats[c].mean();
-    }
-    for (int u = 0; u < kNumSharedUnits; ++u) {
-        result.shared[u].p2p = shared_skitters[u].percentP2p();
-        result.shared[u].min_latch = shared_skitters[u].minPosition();
-        result.shared[u].max_latch = shared_skitters[u].maxPosition();
-        result.shared[u].v_min = shared_vstats[u].min();
-        result.shared[u].v_max = shared_vstats[u].max();
-        result.shared[u].v_mean = shared_vstats[u].mean();
-    }
-    result.v_floor = v_floor;
-    result.avg_power_watts = meter.averageWatts();
-    return result;
+    return runBatch(std::span(&workloads, 1), duration, options).front();
 }
 
 std::vector<ChipRunResult>
@@ -205,16 +92,17 @@ ChipModel::runBatch(
     std::vector<std::array<CoreActivity, kNumCores>> activity(
         workloads.begin(), workloads.end());
 
-    // Per-lane measurement state, mirroring run() exactly. Lanes never
-    // mix arithmetically: each samples its own voltages into its own
-    // skitters/stats/meter, so lane results are bit-identical to a
-    // scalar run of the same workloads.
+    // Per-lane measurement state. Lanes never mix arithmetically: each
+    // samples its own voltages into its own skitters, stats, scopes
+    // and meter, so a lane's result does not depend on the batch width
+    // or its position in the batch.
     struct LaneState
     {
         std::vector<Skitter> skitters;
         std::vector<Skitter> shared_skitters;
         std::array<RunningStats, kNumCores> vstats;
         std::array<RunningStats, kNumSharedUnits> shared_vstats;
+        std::vector<Oscilloscope> scopes; //!< per core, with traces
         PowerMeter meter;
         bool active = true;
     };
@@ -228,6 +116,12 @@ ChipModel::runBatch(
         }
         ls.shared_skitters.assign(kNumSharedUnits,
                                   Skitter(config_.skitter));
+        if (options.capture_traces) {
+            ls.scopes.reserve(kNumCores);
+            for (int c = 0; c < kNumCores; ++c)
+                ls.scopes.emplace_back(config_.dt,
+                                       options.trace_decimation);
+        }
     }
 
     const std::array<NodeId, kNumSharedUnits> shared_nodes = {
@@ -258,17 +152,9 @@ ChipModel::runBatch(
     sim.initDcOperatingPoint(currents);
 
     std::vector<ChipRunResult> results(lanes);
-    for (auto &r : results) {
+    for (auto &r : results)
         r.duration = duration;
-        if (options.capture_traces) {
-            r.traces.assign(
-                kNumCores,
-                Waveform(config_.dt *
-                         static_cast<double>(options.trace_decimation)));
-        }
-    }
 
-    unsigned trace_phase = 0;
     size_t active_lanes = lanes;
 
     const auto steps =
@@ -296,8 +182,8 @@ ChipModel::runBatch(
                     result.failure_time = t;
                     result.failing_core = c;
                 }
-                if (options.capture_traces && trace_phase == 0)
-                    result.traces[c].push(v);
+                if (options.capture_traces)
+                    ls.scopes[c].sample(v);
             }
 
             if (t >= options.warmup) {
@@ -310,44 +196,39 @@ ChipModel::runBatch(
 
             ls.meter.sample(supply_, std::fabs(sim.sourceCurrent(k, 0)));
 
-            // A scalar run would break out of its step loop here; the
-            // batch freezes this lane's sampling instead (its result
-            // fields are already final) and keeps stepping the rest.
+            // The lane's result fields are final at its first
+            // violation: freeze its sampling and keep stepping the rest.
             if (result.failed && options.stop_on_failure) {
                 ls.active = false;
                 --active_lanes;
             }
         }
 
-        if (options.capture_traces &&
-            ++trace_phase == options.trace_decimation) {
-            trace_phase = 0;
-        }
-
         if (active_lanes == 0)
             break;
     }
 
+    auto readout = [](const Skitter &skitter, const RunningStats &vstats) {
+        CoreRunResult r;
+        r.p2p = skitter.percentP2p();
+        r.min_latch = skitter.minPosition();
+        r.max_latch = skitter.maxPosition();
+        r.v_min = vstats.min();
+        r.v_max = vstats.max();
+        r.v_mean = vstats.mean();
+        return r;
+    };
     for (size_t k = 0; k < lanes; ++k) {
         LaneState &ls = lane_state[k];
         ChipRunResult &result = results[k];
-        for (int c = 0; c < kNumCores; ++c) {
-            result.core[c].p2p = ls.skitters[c].percentP2p();
-            result.core[c].min_latch = ls.skitters[c].minPosition();
-            result.core[c].max_latch = ls.skitters[c].maxPosition();
-            result.core[c].v_min = ls.vstats[c].min();
-            result.core[c].v_max = ls.vstats[c].max();
-            result.core[c].v_mean = ls.vstats[c].mean();
-        }
-        for (int u = 0; u < kNumSharedUnits; ++u) {
-            result.shared[u].p2p = ls.shared_skitters[u].percentP2p();
-            result.shared[u].min_latch = ls.shared_skitters[u].minPosition();
-            result.shared[u].max_latch = ls.shared_skitters[u].maxPosition();
-            result.shared[u].v_min = ls.shared_vstats[u].min();
-            result.shared[u].v_max = ls.shared_vstats[u].max();
-            result.shared[u].v_mean = ls.shared_vstats[u].mean();
-        }
+        for (int c = 0; c < kNumCores; ++c)
+            result.core[c] = readout(ls.skitters[c], ls.vstats[c]);
+        for (int u = 0; u < kNumSharedUnits; ++u)
+            result.shared[u] =
+                readout(ls.shared_skitters[u], ls.shared_vstats[u]);
         result.avg_power_watts = ls.meter.averageWatts();
+        for (auto &scope : ls.scopes)
+            result.traces.push_back(scope.takeTrace());
     }
     return results;
 }

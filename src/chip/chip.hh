@@ -23,7 +23,6 @@
 #include "chip/activity.hh"
 #include "chip/variation.hh"
 #include "circuit/batched.hh"
-#include "circuit/transient.hh"
 #include "circuit/waveform.hh"
 #include "measure/critpath.hh"
 #include "measure/meter.hh"
@@ -67,7 +66,10 @@ struct RunOptions
     /** Capture per-core voltage waveforms (Fig. 8 / Fig. 13b style). */
     bool capture_traces = false;
 
-    /** Keep one trace sample out of this many steps. */
+    /**
+     * Keep one trace sample out of this many steps (>= 1 when
+     * capture_traces is set; each core's Oscilloscope rejects 0).
+     */
     unsigned trace_decimation = 1;
 
     /** Abort the run at the first R-Unit violation. */
@@ -148,7 +150,7 @@ class ChipModel
     /**
      * Co-simulate the chip for `duration` seconds with one activity
      * generator per core (copies are taken; generators always start at
-     * t = 0 of the run).
+     * t = 0 of the run). A one-lane runBatch().
      */
     ChipRunResult run(const std::array<CoreActivity, kNumCores> &workloads,
                       double duration,
@@ -156,13 +158,13 @@ class ChipModel
 
     /**
      * Co-simulate many independent workload sets (lanes) in one pass
-     * over the shared factorization. Result i is bit-identical to
-     * `run(workloads[i], duration, options)` — lanes never mix
-     * arithmetically, so the campaign cache and figure pipelines can
-     * treat batched and scalar runs interchangeably. With
-     * stop_on_failure, a failed lane stops sampling at the same step a
-     * scalar run would have stopped at while the remaining lanes keep
-     * going.
+     * over the shared factorization. This is the chip's one
+     * time-stepping loop. Lanes never mix arithmetically, so result i
+     * does not depend on the batch width or on lane i's position: it
+     * is bit-identical to `run(workloads[i], duration, options)`, and
+     * the campaign cache and figure pipelines can batch runs freely.
+     * With stop_on_failure, a failed lane stops sampling at its first
+     * violation while the remaining lanes keep going.
      */
     std::vector<ChipRunResult>
     runBatch(std::span<const std::array<CoreActivity, kNumCores>> workloads,

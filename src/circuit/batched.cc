@@ -35,6 +35,8 @@ BatchedTransientSolver::BatchedTransientSolver(
     ind_voltage_.assign(fact_->numInductors() * lanes_, 0.0);
     solution_.assign(fact_->dim() * lanes_, 0.0);
     rhs_.assign(fact_->dim() * lanes_, 0.0);
+    ground_sink_.assign(lanes_, 0.0);
+    ground_zero_.assign(lanes_, 0.0);
 }
 
 BatchedTransientSolver::BatchedTransientSolver(const Netlist &netlist,
@@ -52,9 +54,25 @@ BatchedTransientSolver::checkLane(size_t lane, const char *context) const
               " (have ", lanes_, ")");
 }
 
+double *
+BatchedTransientSolver::rhsRow(std::vector<double> &rhs, NodeId node)
+{
+    int idx = nodeIndex(node);
+    return idx >= 0 ? &rhs[static_cast<size_t>(idx) * lanes_]
+                    : ground_sink_.data();
+}
+
+const double *
+BatchedTransientSolver::voltageRow(NodeId node) const
+{
+    int idx = nodeIndex(node);
+    return idx >= 0 ? &solution_[static_cast<size_t>(idx) * lanes_]
+                    : ground_zero_.data();
+}
+
 void
 BatchedTransientSolver::fillPortCurrents(
-    std::span<const double> port_currents, std::vector<double> &rhs) const
+    std::span<const double> port_currents, std::vector<double> &rhs)
 {
     const Netlist &netlist = fact_->netlist();
     const size_t num_ports = netlist.ports().size();
@@ -62,23 +80,15 @@ BatchedTransientSolver::fillPortCurrents(
         fatal("BatchedTransientSolver: expected ", num_ports, " x ",
               lanes_, " lane-major port currents, got ",
               port_currents.size());
-    // Same per-lane operation order as the scalar solver: ports in
-    // netlist order, -= into `from`, += into `to`.
+    // Per lane: ports in netlist order, -= into `from`, += into `to`.
     for (size_t p = 0; p < num_ports; ++p) {
         const auto &port = netlist.ports()[p];
-        int ifrom = nodeIndex(port.from);
-        int ito = nodeIndex(port.to);
-        double *rhs_from =
-            ifrom >= 0 ? &rhs[static_cast<size_t>(ifrom) * lanes_]
-                       : nullptr;
-        double *rhs_to =
-            ito >= 0 ? &rhs[static_cast<size_t>(ito) * lanes_] : nullptr;
+        double *rhs_from = rhsRow(rhs, port.from);
+        double *rhs_to = rhsRow(rhs, port.to);
         for (size_t k = 0; k < lanes_; ++k) {
             double current = port_currents[k * num_ports + p];
-            if (rhs_from != nullptr)
-                rhs_from[k] -= current;
-            if (rhs_to != nullptr)
-                rhs_to[k] += current;
+            rhs_from[k] -= current;
+            rhs_to[k] += current;
         }
     }
 }
@@ -105,21 +115,14 @@ BatchedTransientSolver::initDcOperatingPoint(
     fact_->dcLu().solveLanesInto(rhs, lanes_, solution_);
     time_ = 0.0;
 
-    auto node_row = [&](NodeId n) -> const double * {
-        int idx = nodeIndex(n);
-        return idx >= 0 ? &solution_[static_cast<size_t>(idx) * lanes_]
-                        : nullptr;
-    };
-
     for (size_t i = 0; i < netlist.capacitors().size(); ++i) {
         const auto &c = netlist.capacitors()[i];
-        const double *va = node_row(c.a);
-        const double *vb = node_row(c.b);
+        const double *va = voltageRow(c.a);
+        const double *vb = voltageRow(c.b);
         double *cv = &cap_voltage_[i * lanes_];
         double *cc = &cap_current_[i * lanes_];
         for (size_t k = 0; k < lanes_; ++k) {
-            cv[k] = (va != nullptr ? va[k] : 0.0) -
-                    (vb != nullptr ? vb[k] : 0.0);
+            cv[k] = va[k] - vb[k];
             cc[k] = 0.0;
         }
     }
@@ -147,25 +150,19 @@ BatchedTransientSolver::step(std::span<const double> port_currents)
 
     std::fill(rhs_.begin(), rhs_.end(), 0.0);
 
-    // Capacitor companions, in capacitor order like the scalar solver:
-    // Ieq = Geq*v_n + i_n injected from b into a.
+    // Capacitor companions: conductance Geq already in the matrix; the
+    // history term injects Ieq = Geq*v_n + i_n from b into a.
     const auto &caps = netlist.capacitors();
     for (size_t i = 0; i < caps.size(); ++i) {
         const double geq = cap_geq[i];
         const double *cv = &cap_voltage_[i * lanes_];
         const double *cc = &cap_current_[i * lanes_];
-        int ia = nodeIndex(caps[i].a);
-        int ib = nodeIndex(caps[i].b);
-        double *rhs_a =
-            ia >= 0 ? &rhs_[static_cast<size_t>(ia) * lanes_] : nullptr;
-        double *rhs_b =
-            ib >= 0 ? &rhs_[static_cast<size_t>(ib) * lanes_] : nullptr;
+        double *rhs_a = rhsRow(rhs_, caps[i].a);
+        double *rhs_b = rhsRow(rhs_, caps[i].b);
         for (size_t k = 0; k < lanes_; ++k) {
             double ieq = geq * cv[k] + cc[k];
-            if (rhs_a != nullptr)
-                rhs_a[k] += ieq;
-            if (rhs_b != nullptr)
-                rhs_b[k] -= ieq;
+            rhs_a[k] += ieq;
+            rhs_b[k] -= ieq;
         }
     }
 
@@ -191,21 +188,14 @@ BatchedTransientSolver::step(std::span<const double> port_currents)
     fact_->transientLu().solveLanesInto(rhs_, lanes_, solution_);
     time_ += fact_->dt();
 
-    auto node_row = [&](NodeId n) -> const double * {
-        int idx = nodeIndex(n);
-        return idx >= 0 ? &solution_[static_cast<size_t>(idx) * lanes_]
-                        : nullptr;
-    };
-
     for (size_t i = 0; i < caps.size(); ++i) {
         const double geq = cap_geq[i];
-        const double *va = node_row(caps[i].a);
-        const double *vb = node_row(caps[i].b);
+        const double *va = voltageRow(caps[i].a);
+        const double *vb = voltageRow(caps[i].b);
         double *cv = &cap_voltage_[i * lanes_];
         double *cc = &cap_current_[i * lanes_];
         for (size_t k = 0; k < lanes_; ++k) {
-            double v_new = (va != nullptr ? va[k] : 0.0) -
-                           (vb != nullptr ? vb[k] : 0.0);
+            double v_new = va[k] - vb[k];
             double ieq = geq * cv[k] + cc[k];
             cc[k] = geq * v_new - ieq;
             cv[k] = v_new;
@@ -215,14 +205,13 @@ BatchedTransientSolver::step(std::span<const double> port_currents)
         const auto &l = netlist.inductors()[m];
         const double *branch = &solution_[(num_nodes + num_vsrc + m) *
                                           lanes_];
-        const double *va = node_row(l.a);
-        const double *vb = node_row(l.b);
+        const double *va = voltageRow(l.a);
+        const double *vb = voltageRow(l.b);
         double *ic = &ind_current_[m * lanes_];
         double *iv = &ind_voltage_[m * lanes_];
         for (size_t k = 0; k < lanes_; ++k) {
             ic[k] = branch[k];
-            iv[k] = (va != nullptr ? va[k] : 0.0) -
-                    (vb != nullptr ? vb[k] : 0.0);
+            iv[k] = va[k] - vb[k];
         }
     }
 }

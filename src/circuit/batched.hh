@@ -1,7 +1,12 @@
 /**
  * @file
  * Lane-batched trapezoidal transient solver: K same-topology stimuli
- * advance together through one shared LU factorization.
+ * advance together through one shared LU factorization. This is the
+ * only stamp/step/DC-init implementation; TransientSolver
+ * (transient.hh) is its one-lane view.
+ *
+ * Unknown ordering: node voltages (ground excluded), then voltage-source
+ * branch currents, then inductor branch currents.
  *
  * State vectors are stored structure-of-arrays — element (i, k) of
  * unknown/reactive-element i and lane k lives at index `i * lanes + k`
@@ -12,13 +17,15 @@
  * order-of-magnitude campaign speedup comes from: a 1000-seed campaign
  * becomes ~1000/K substitution sweeps.
  *
- * Determinism contract: lane k executes *exactly* the scalar
- * TransientSolver operation sequence (same stamp order, same j-loop
- * order, no cross-lane arithmetic), so its voltages, currents and
- * reactive states are bit-identical to a scalar solver fed the same
- * stimulus. tests/circuit/test_batched.cc enforces this byte-for-byte;
- * it is what lets lane-batched campaigns share cache entries and wire
- * responses with scalar runs.
+ * Lane-invariance contract: every lane executes the same operation
+ * sequence (same stamp order, same j-loop order, no cross-lane
+ * arithmetic), so a lane's voltages, currents and reactive states do
+ * not depend on how many lanes run beside it or on its position in the
+ * batch: lane k of a K-lane solver is bit-identical to a one-lane
+ * solver fed the same stimulus. tests/circuit/test_batched.cc enforces
+ * this byte-for-byte and pins the results to golden digests; it is
+ * what lets campaigns of any batch width share cache entries and wire
+ * responses.
  */
 
 #ifndef VN_CIRCUIT_BATCHED_HH
@@ -46,8 +53,8 @@ class BatchedTransientSolver
 {
   public:
     /**
-     * @param fact  shared factorization (from FactorizationCache or a
-     *              scalar solver's factorization())
+     * @param fact  shared factorization (from FactorizationCache or
+     *              another solver's factorization())
      * @param lanes number of stimulus lanes K (>= 1)
      */
     BatchedTransientSolver(std::shared_ptr<const Factorization> fact,
@@ -100,8 +107,12 @@ class BatchedTransientSolver
     double sourceCurrent(size_t lane, size_t i) const;
 
   private:
+    /** `node`'s lane row in `rhs`; ground stamps land in ground_sink_. */
+    double *rhsRow(std::vector<double> &rhs, NodeId node);
+    /** `node`'s lane row of voltages; ground reads ground_zero_. */
+    const double *voltageRow(NodeId node) const;
     void fillPortCurrents(std::span<const double> port_currents,
-                          std::vector<double> &rhs) const;
+                          std::vector<double> &rhs);
     void checkLane(size_t lane, const char *context) const;
 
     std::shared_ptr<const Factorization> fact_;
@@ -115,6 +126,13 @@ class BatchedTransientSolver
     std::vector<double> ind_current_;
     std::vector<double> ind_voltage_;
     std::vector<double> rhs_;
+
+    // One lane row each for the ground node, so no stamp or update
+    // loop branches per lane on ground: stamps into ground go to the
+    // never-read sink, and ground voltage reads the all-zero row, the
+    // same operands an explicit 0.0 would give.
+    std::vector<double> ground_sink_;
+    std::vector<double> ground_zero_;
 };
 
 } // namespace vn

@@ -1,20 +1,16 @@
 /**
  * @file
  * Time-domain simulation of a Netlist via modified nodal analysis with
- * trapezoidal companion models.
+ * trapezoidal companion models, one stimulus at a time.
  *
- * The system matrix depends only on the netlist and the time step, so
- * it is LU-factorized once — in a shared `Factorization` interned by
- * the process-wide `FactorizationCache`, so a campaign of thousands of
- * jobs over one chip config factorizes once, not once per job. Each
- * step rebuilds the right-hand side from the reactive-element state
- * and the externally supplied port currents and performs a single
- * forward/back substitution. This makes million-step noise
- * co-simulations cheap; `BatchedTransientSolver` (batched.hh) amortizes
- * the substitution itself over K stimuli.
- *
- * Unknown ordering: node voltages (ground excluded), then voltage-source
- * branch currents, then inductor branch currents.
+ * TransientSolver is a one-lane view of BatchedTransientSolver
+ * (batched.hh), which holds the only stamp/step/DC-init code: the
+ * system matrix is LU-factorized once per (netlist, dt) in a shared
+ * `Factorization` interned by the process-wide `FactorizationCache`,
+ * and each step rebuilds the right-hand side from the reactive-element
+ * state and the port currents and performs one forward/back
+ * substitution. Lanes never mix arithmetically, so this view produces
+ * the same bits as the matching lane of any wider batch.
  */
 
 #ifndef VN_CIRCUIT_TRANSIENT_HH
@@ -22,17 +18,17 @@
 
 #include <memory>
 #include <span>
-#include <vector>
 
+#include "circuit/batched.hh"
 #include "circuit/factorization.hh"
 #include "circuit/netlist.hh"
-#include "util/matrix.hh"
 
 namespace vn
 {
 
 /**
- * Trapezoidal-rule transient solver over a fixed time step.
+ * Trapezoidal-rule transient solver over a fixed time step: a
+ * BatchedTransientSolver with one lane.
  */
 class TransientSolver
 {
@@ -46,13 +42,17 @@ class TransientSolver
      * @param netlist network to simulate
      * @param dt      integration step in seconds (> 0)
      */
-    TransientSolver(const Netlist &netlist, double dt);
+    TransientSolver(const Netlist &netlist, double dt)
+        : lane_(netlist, dt, 1)
+    {}
 
     /**
      * Build the solver on an explicitly shared factorization (e.g. one
      * the campaign engine fetched once and handed to every job).
      */
-    explicit TransientSolver(std::shared_ptr<const Factorization> fact);
+    explicit TransientSolver(std::shared_ptr<const Factorization> fact)
+        : lane_(std::move(fact), 1)
+    {}
 
     /**
      * Initialize all states from the DC operating point with the given
@@ -60,57 +60,59 @@ class TransientSolver
      * to zero. Call before the first step(); starting from an exact
      * operating point avoids a spurious start-up transient.
      */
-    void initDcOperatingPoint(std::span<const double> port_currents);
+    void
+    initDcOperatingPoint(std::span<const double> port_currents)
+    {
+        lane_.initDcOperatingPoint(port_currents);
+    }
 
     /**
      * Advance one time step with the given per-port load currents
      * (amperes, one entry per PortId, treated as constant across the
      * step).
      */
-    void step(std::span<const double> port_currents);
+    void
+    step(std::span<const double> port_currents)
+    {
+        lane_.step(port_currents);
+    }
 
     /** Current simulation time in seconds. */
-    double time() const { return time_; }
+    double time() const { return lane_.time(); }
 
     /** Integration step. */
-    double dt() const { return fact_->dt(); }
+    double dt() const { return lane_.dt(); }
 
     /** The shared factorization this solver runs on. */
     const std::shared_ptr<const Factorization> &
     factorization() const
     {
-        return fact_;
+        return lane_.factorization();
     }
 
     /** Voltage of a node at the current time. */
-    double nodeVoltage(NodeId node) const;
+    double
+    nodeVoltage(NodeId node) const
+    {
+        return lane_.nodeVoltage(0, node);
+    }
 
     /** Branch current of inductor index i (netlist order). */
-    double inductorCurrent(size_t i) const;
+    double
+    inductorCurrent(size_t i) const
+    {
+        return lane_.inductorCurrent(0, i);
+    }
 
     /** Branch current of voltage source index i (netlist order). */
-    double sourceCurrent(size_t i) const;
+    double
+    sourceCurrent(size_t i) const
+    {
+        return lane_.sourceCurrent(0, i);
+    }
 
   private:
-    void initState();
-    void fillPortCurrents(std::span<const double> port_currents,
-                          std::vector<double> &rhs) const;
-
-    std::shared_ptr<const Factorization> fact_;
-    double time_ = 0.0;
-
-    // Solution vector of the latest step: node voltages, vsource branch
-    // currents, inductor branch currents.
-    std::vector<double> solution_;
-
-    // Reactive-element state carried between steps.
-    std::vector<double> cap_voltage_;
-    std::vector<double> cap_current_;
-    std::vector<double> ind_current_;
-    std::vector<double> ind_voltage_;
-
-    // Scratch buffers.
-    std::vector<double> rhs_;
+    BatchedTransientSolver lane_;
 };
 
 } // namespace vn

@@ -11,6 +11,8 @@
 #ifndef VN_MEASURE_METER_HH
 #define VN_MEASURE_METER_HH
 
+#include <utility>
+
 #include "circuit/waveform.hh"
 #include "util/stats.hh"
 
@@ -68,6 +70,9 @@ class Oscilloscope
 
     /** The captured trace. */
     const Waveform &trace() const { return trace_; }
+
+    /** Move the captured trace out (once, after the last sample). */
+    Waveform takeTrace() { return std::move(trace_); }
 
   private:
     unsigned decimation_;

@@ -86,8 +86,8 @@ struct CampaignOptions
      * Stimulus lanes per batch job for harnesses that use
      * submitBatch() — how many same-topology runs a worker advances
      * through one shared LU factorization at a time. 1 disables
-     * batching (the scalar reference path). Results are bit-identical
-     * for every value; this is purely a throughput knob.
+     * batching (one lane per job). Results are bit-identical for every
+     * value; this is purely a throughput knob.
      */
     int lanes = 8;
 

@@ -2,23 +2,23 @@
  * @file
  * Lane-batched LU substitution kernel (double field).
  *
- * The batched transient solver advances K same-topology stimuli as SoA
- * lanes and back-substitutes all K right-hand sides through one shared
- * factorization per step. This kernel is why that pays off: lanes are
- * processed in chunks whose trip count is a compile-time constant, so
- * the per-row running sums live in vector registers for the whole
- * substitution loop — the widened equivalent of the scalar solveInto()
- * `sum` variable — instead of bouncing through a store-to-load forward
- * on every j iteration.
+ * Every real-valued LU solve in the model runs here: the transient
+ * solver back-substitutes all K SoA right-hand sides of a step through
+ * one shared factorization, and a single solve is the K = 1 case.
+ * Lanes are processed in chunks whose trip count is a compile-time
+ * constant, so the per-row running sums live in vector registers for
+ * the whole substitution loop instead of bouncing through a
+ * store-to-load forward on every j iteration.
  *
- * Bit-identity contract: per lane this performs *exactly* the scalar
- * solveInto() operation sequence — same j order, no zero skips, one
- * multiply and one subtract per (i, j), one divide per row. Chunking
- * groups lanes; it never reorders or reassociates a lane's arithmetic.
- * On x86-64 an AVX2 clone is dispatched at runtime; AVX2 vmulpd /
- * vsubpd / vdivpd are elementwise IEEE-identical to their scalar
- * counterparts, and FMA contraction is impossible because the fma ISA
- * bit is never enabled for either clone.
+ * Lane-invariance contract: every lane performs the same operation
+ * sequence — same j order, no zero skips, one multiply and one
+ * subtract per (i, j), one divide per row. Chunking groups lanes; it
+ * never reorders or reassociates a lane's arithmetic, so a lane's
+ * result does not depend on the batch width or its position in the
+ * batch. On x86-64 an AVX2 clone is dispatched at runtime; AVX2
+ * vmulpd / vsubpd / vdivpd are elementwise IEEE-identical to their
+ * scalar counterparts, and FMA contraction is impossible because the
+ * fma ISA bit is never enabled for either clone.
  */
 
 #include <cstddef>
@@ -93,14 +93,30 @@ solveAll(const double *lu, const size_t *perm, size_t n, const double *b,
     }
 }
 
+/**
+ * One lane, the case TransientSolver, ChipModel::run and
+ * LuSolver::solve take: solveChunk<1> with the lane stride fixed at 1,
+ * compiled in a body of its own so its loop-invariant pointers stay in
+ * registers instead of sharing the register budget of every chunk
+ * width. Its arithmetic is scalar either way, so it needs no AVX2
+ * clone.
+ */
+[[gnu::noinline]] void
+solveOneLane(const double *lu, const size_t *perm, size_t n,
+             const double *b, double *x)
+{
+    solveChunk<1>(lu, perm, n, b, 1, 0, x);
+}
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define VN_LANES_AVX2 1
 
 /**
  * AVX2 clone (note: avx2 only — never fma, which would contract the
- * multiply-subtract pairs and break bit-identity with the scalar
- * path). The always_inline helpers are compiled into this body under
- * the avx2 target, so the constant-trip lane loops vectorize 4-wide.
+ * multiply-subtract pairs and change results relative to the other
+ * bodies). The always_inline helpers are compiled into this body
+ * under the avx2 target, so the constant-trip lane loops vectorize
+ * 4-wide.
  */
 __attribute__((target("avx2"))) void
 solveAllAvx2(const double *lu, const size_t *perm, size_t n,
@@ -116,6 +132,10 @@ void
 solveLanesDouble(const double *lu, const size_t *perm, size_t n,
                  const double *b, size_t lanes, double *x)
 {
+    if (lanes == 1) {
+        solveOneLane(lu, perm, n, b, x);
+        return;
+    }
 #ifdef VN_LANES_AVX2
     static const bool have_avx2 = __builtin_cpu_supports("avx2");
     if (have_avx2) {

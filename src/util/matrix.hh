@@ -33,13 +33,14 @@ namespace detail
 {
 
 /**
- * Lane-batched LU substitution kernel for double (lanes.cc). Performs,
- * for each of `lanes` SoA right-hand sides, exactly the scalar
- * solveInto() operation sequence; element (i, k) lives at
- * `i * lanes + k` in both `b` and `x`. `lu` is the row-major n x n
- * factorization and `perm` the row permutation. Compiled out of line
- * so the chunked inner loops get constant trip counts (register
- * accumulators) and, on x86-64, a runtime-dispatched AVX2 clone.
+ * Lane-batched LU substitution kernel for double (lanes.cc): the one
+ * dense substitution every real-valued solve runs, one lane or many.
+ * Each of the `lanes` SoA right-hand sides gets the same operation
+ * sequence; element (i, k) lives at `i * lanes + k` in both `b` and
+ * `x`. `lu` is the row-major n x n factorization and `perm` the row
+ * permutation. Compiled out of line so the chunked inner loops get
+ * constant trip counts (register accumulators) and, on x86-64, a
+ * runtime-dispatched AVX2 clone.
  */
 void solveLanesDouble(const double *lu, const size_t *perm, size_t n,
                       const double *b, size_t lanes, double *x);
@@ -95,9 +96,9 @@ class Matrix
 /**
  * LU factorization with partial pivoting of a square matrix.
  *
- * Factorize once, then solve() any number of right-hand sides; this is the
- * hot path of the transient solver (one factorization per time-step size,
- * one substitution per step).
+ * Factorize once, then solve() any number of right-hand sides, one at a
+ * time or as SoA lanes; this is the hot path of the transient solver (one
+ * factorization per time-step size, one substitution per step).
  */
 template <typename T>
 class LuSolver
@@ -152,53 +153,13 @@ class LuSolver
         factorized_ = true;
     }
 
-    /** Solve A x = b; returns x. */
+    /** Solve A x = b; returns x. One lane of solveLanesInto(). */
     std::vector<T>
     solve(const std::vector<T> &b) const
     {
-        if (!factorized_)
-            panic("LuSolver::solve() before factorize()");
-        if (b.size() != n_)
-            fatal("LuSolver::solve(): rhs size ", b.size(),
-                  " does not match system size ", n_);
-
-        std::vector<T> x(n_);
-        // Apply permutation and forward-substitute L (unit diagonal).
-        for (size_t i = 0; i < n_; ++i) {
-            T sum = b[perm_[i]];
-            for (size_t j = 0; j < i; ++j)
-                sum -= lu_(i, j) * x[j];
-            x[i] = sum;
-        }
-        // Back-substitute U.
-        for (size_t ii = n_; ii-- > 0;) {
-            T sum = x[ii];
-            for (size_t j = ii + 1; j < n_; ++j)
-                sum -= lu_(ii, j) * x[j];
-            x[ii] = sum / lu_(ii, ii);
-        }
+        std::vector<T> x;
+        solveLanesInto(b, 1, x);
         return x;
-    }
-
-    /** In-place variant writing into x (sized n) to avoid allocation. */
-    void
-    solveInto(const std::vector<T> &b, std::vector<T> &x) const
-    {
-        if (!factorized_)
-            panic("LuSolver::solveInto() before factorize()");
-        x.resize(n_);
-        for (size_t i = 0; i < n_; ++i) {
-            T sum = b[perm_[i]];
-            for (size_t j = 0; j < i; ++j)
-                sum -= lu_(i, j) * x[j];
-            x[i] = sum;
-        }
-        for (size_t ii = n_; ii-- > 0;) {
-            T sum = x[ii];
-            for (size_t j = ii + 1; j < n_; ++j)
-                sum -= lu_(ii, j) * x[j];
-            x[ii] = sum / lu_(ii, ii);
-        }
     }
 
     /**
@@ -206,13 +167,14 @@ class LuSolver
      * `size() * lanes` entries where element (i, k) of unknown i and
      * lane k lives at index `i * lanes + k`.
      *
-     * Each lane performs *exactly* the scalar solveInto() operation
-     * sequence (same j-loop order, no zero-pivot short cuts), so lane k
-     * of the result is bit-identical to a scalar solve of lane k's
-     * right-hand side. The lane loop is innermost over contiguous
-     * memory, which lets the compiler vectorize and amortizes every
-     * lu_(i, j) load over all lanes — this is the kernel behind the
-     * batched transient solver.
+     * This is the one substitution: solve() is its one-lane call. Each
+     * lane performs the same operation sequence (permuted forward
+     * substitution of L, then back substitution of U, same j-loop
+     * order, no zero-pivot short cuts) and no arithmetic crosses
+     * lanes, so lane k of the result does not depend on the batch
+     * width or on lane k's position in it. The lane loop is innermost
+     * over contiguous memory, which lets the compiler vectorize and
+     * amortizes every lu_(i, j) load over all lanes.
      */
     void
     solveLanesInto(const std::vector<T> &b, size_t lanes,
@@ -230,14 +192,13 @@ class LuSolver
         if constexpr (std::is_same_v<T, double>) {
             // Hot path: out-of-line kernel whose lane chunks have
             // compile-time trip counts, so the per-row running sums
-            // stay in vector registers across the whole j loop (the
-            // scalar `sum` variable, widened to a lane chunk).
+            // stay in vector registers across the whole j loop.
             detail::solveLanesDouble(lu_.data(), perm_.data(), n_,
                                      b.data(), lanes, x.data());
             return;
         }
         // Generic field (complex AC analysis): plain lane loop, same
-        // per-lane operation sequence as solveInto().
+        // per-lane operation sequence as the double kernel.
         for (size_t i = 0; i < n_; ++i) {
             const T *bp = &b[perm_[i] * lanes];
             T *xi = &x[i * lanes];

@@ -151,6 +151,22 @@ TEST(ChipModelTest, TraceCaptureWorks)
     EXPECT_GT(r.traces[0].peakToPeak(), 0.01);
 }
 
+TEST(ChipModelTest, ZeroTraceDecimationIsFatal)
+{
+    // Traces are captured by one Oscilloscope per core, which rejects
+    // a decimation of 0 in run() and runBatch() alike.
+    bool prev = vn::setThrowOnError(true);
+    vn::ChipModel chip;
+    vn::RunOptions options;
+    options.capture_traces = true;
+    options.trace_decimation = 0;
+    Workloads idle = allCores(chip.idleActivity());
+    EXPECT_THROW(chip.run(idle, 1e-6, options), vn::FatalError);
+    std::vector<Workloads> batch{idle, idle};
+    EXPECT_THROW(chip.runBatch(batch, 1e-6, options), vn::FatalError);
+    vn::setThrowOnError(prev);
+}
+
 TEST(ChipModelTest, BiasShiftsOperatingPoint)
 {
     vn::ChipConfig config;

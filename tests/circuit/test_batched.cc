@@ -1,14 +1,22 @@
 /**
  * @file
- * Bit-identity and sharing tests of the batched solver path.
+ * Lane-invariance, golden-digest and sharing tests of the one
+ * (lane-batched) solver path.
  *
  * The whole campaign-batching design rests on one claim: a lane of
- * BatchedTransientSolver executes exactly the scalar TransientSolver
- * operation sequence, so batched results are byte-identical to scalar
- * ones and the two paths can share cache entries. These tests enforce
- * the claim byte-for-byte (memcmp on doubles, never EXPECT_NEAR) over
- * long transients, on every netlist the chip model builds, and at the
- * ChipModel::runBatch level including stop_on_failure.
+ * BatchedTransientSolver performs the same operation sequence whatever
+ * the batch width or its position in the batch, so K lanes are
+ * byte-identical to K one-lane TransientSolvers (and ChipModel::runBatch
+ * to K ChipModel::run calls) and every batch width can share cache
+ * entries. These tests enforce the claim byte-for-byte (memcmp on
+ * doubles, never EXPECT_NEAR) over long transients, on every netlist
+ * the chip model builds, and at the ChipModel::runBatch level
+ * including traces and stop_on_failure.
+ *
+ * Invariance cannot show that the path still computes what it did, so
+ * every observation is also folded into an FNV-1a digest of its double
+ * bit patterns and compared against a golden constant below. Only an
+ * intended model change may re-record them.
  *
  * FactorizationCacheTest.ConcurrentGetInternsOnePointer doubles as the
  * ThreadSanitizer target for the cache's locking (scripts/check.sh
@@ -28,6 +36,7 @@
 #include "circuit/factorization.hh"
 #include "circuit/netlist.hh"
 #include "circuit/transient.hh"
+#include "runtime/hash.hh"
 #include "util/logging.hh"
 
 namespace
@@ -38,6 +47,62 @@ sameBits(double a, double b)
 {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
+
+/** Fold the bit pattern of `v` into a running FNV-1a digest. */
+uint64_t
+foldBits(uint64_t digest, double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return vn::runtime::fnv1aAppend(digest, bits);
+}
+
+uint64_t
+foldInt(uint64_t digest, int64_t v)
+{
+    return vn::runtime::fnv1aAppend(digest, static_cast<uint64_t>(v));
+}
+
+/** Fold every observable field of a run, traces included. */
+uint64_t
+foldChipResult(uint64_t digest, const vn::ChipRunResult &r)
+{
+    auto fold_core = [&](const vn::CoreRunResult &c) {
+        digest = foldBits(digest, c.p2p);
+        digest = foldInt(digest, c.min_latch);
+        digest = foldInt(digest, c.max_latch);
+        digest = foldBits(digest, c.v_min);
+        digest = foldBits(digest, c.v_max);
+        digest = foldBits(digest, c.v_mean);
+    };
+    for (const auto &c : r.core)
+        fold_core(c);
+    for (const auto &u : r.shared)
+        fold_core(u);
+    digest = foldInt(digest, r.failed ? 1 : 0);
+    digest = foldBits(digest, r.failure_time);
+    digest = foldInt(digest, r.failing_core);
+    digest = foldBits(digest, r.v_floor);
+    digest = foldBits(digest, r.avg_power_watts);
+    digest = foldBits(digest, r.duration);
+    digest = foldInt(digest, static_cast<int64_t>(r.traces.size()));
+    for (const auto &w : r.traces) {
+        digest = foldBits(digest, w.dt());
+        digest = foldInt(digest, static_cast<int64_t>(w.size()));
+        for (size_t i = 0; i < w.size(); ++i)
+            digest = foldBits(digest, w[i]);
+    }
+    return digest;
+}
+
+// Golden digests of the observations of each test below.
+constexpr uint64_t kLadderFiveLanesDigest = 0xcce2702c011aea97ull;
+constexpr uint64_t kLadderOneLaneDigest = 0xdf92a0dd7f00c918ull;
+constexpr std::array<uint64_t, 4> kChipNetlistDigests = {
+    0x08ba5d1969e2de5eull, 0xd846f721d6f19fc2ull, 0x572150dc1d03c54bull,
+    0x203daa7c2c920b94ull};
+constexpr uint64_t kRunBatchDigest = 0x5472ae850f7dd10eull;
+constexpr uint64_t kStopOnFailureDigest = 0xb3060c850d6b6f0full;
 
 /** Deterministic per-lane stimulus, different for every (lane, port, step). */
 double
@@ -71,25 +136,27 @@ makeLadder()
 }
 
 /**
- * Drive `lanes` scalar solvers and one batched solver with identical
+ * Drive `lanes` one-lane solvers and one batched solver with identical
  * per-lane stimuli for `steps` steps and require byte-identical state
- * at every observation point.
+ * at every observation point. `digest` receives the FNV-1a digest of
+ * every observed value.
  */
 void
-expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
-                       uint64_t steps)
+expectLanesMatchOneLane(const vn::Netlist &net, double dt, size_t lanes,
+                        uint64_t steps, uint64_t *digest)
 {
+    *digest = vn::runtime::kFnvOffset;
     const size_t ports = net.ports().size();
 
-    std::vector<vn::TransientSolver> scalar;
-    scalar.reserve(lanes);
+    std::vector<vn::TransientSolver> one_lane;
+    one_lane.reserve(lanes);
     for (size_t k = 0; k < lanes; ++k)
-        scalar.emplace_back(net, dt);
+        one_lane.emplace_back(net, dt);
     vn::BatchedTransientSolver batched(net, dt, lanes);
 
     // All solvers share one interned factorization.
     for (size_t k = 0; k < lanes; ++k)
-        ASSERT_EQ(scalar[k].factorization().get(),
+        ASSERT_EQ(one_lane[k].factorization().get(),
                   batched.factorization().get());
 
     std::vector<double> lane_load(ports * lanes);
@@ -106,28 +173,31 @@ expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
 
     fill(0);
     for (size_t k = 0; k < lanes; ++k)
-        scalar[k].initDcOperatingPoint(loads[k]);
+        one_lane[k].initDcOperatingPoint(loads[k]);
     batched.initDcOperatingPoint(lane_load);
 
     auto check = [&](uint64_t step) {
         for (size_t k = 0; k < lanes; ++k) {
             for (vn::NodeId n = 1;
                  n < static_cast<vn::NodeId>(net.nodeCount()); ++n) {
-                ASSERT_TRUE(sameBits(scalar[k].nodeVoltage(n),
+                ASSERT_TRUE(sameBits(one_lane[k].nodeVoltage(n),
                                      batched.nodeVoltage(k, n)))
                     << "lane " << k << " node " << n << " step " << step;
+                *digest = foldBits(*digest, batched.nodeVoltage(k, n));
             }
             for (size_t i = 0; i < net.inductors().size(); ++i) {
-                ASSERT_TRUE(sameBits(scalar[k].inductorCurrent(i),
+                ASSERT_TRUE(sameBits(one_lane[k].inductorCurrent(i),
                                      batched.inductorCurrent(k, i)))
                     << "lane " << k << " inductor " << i << " step "
                     << step;
+                *digest = foldBits(*digest, batched.inductorCurrent(k, i));
             }
             for (size_t i = 0; i < net.voltageSources().size(); ++i) {
-                ASSERT_TRUE(sameBits(scalar[k].sourceCurrent(i),
+                ASSERT_TRUE(sameBits(one_lane[k].sourceCurrent(i),
                                      batched.sourceCurrent(k, i)))
                     << "lane " << k << " vsource " << i << " step "
                     << step;
+                *digest = foldBits(*digest, batched.sourceCurrent(k, i));
             }
         }
     };
@@ -136,7 +206,7 @@ expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
     for (uint64_t s = 1; s <= steps; ++s) {
         fill(s);
         for (size_t k = 0; k < lanes; ++k)
-            scalar[k].step(loads[k]);
+            one_lane[k].step(loads[k]);
         batched.step(lane_load);
         if (s % 97 == 0 || s == steps)
             check(s);
@@ -145,12 +215,16 @@ expectLanesMatchScalar(const vn::Netlist &net, double dt, size_t lanes,
 
 TEST(BatchedBitIdentityTest, LadderLanesMatchScalarLongTransient)
 {
-    expectLanesMatchScalar(makeLadder(), 1e-9, 5, 5000);
+    uint64_t digest = 0;
+    expectLanesMatchOneLane(makeLadder(), 1e-9, 5, 5000, &digest);
+    EXPECT_EQ(digest, kLadderFiveLanesDigest);
 }
 
 TEST(BatchedBitIdentityTest, SingleLaneDegeneratesToScalar)
 {
-    expectLanesMatchScalar(makeLadder(), 2e-9, 1, 1500);
+    uint64_t digest = 0;
+    expectLanesMatchOneLane(makeLadder(), 2e-9, 1, 1500, &digest);
+    EXPECT_EQ(digest, kLadderOneLaneDigest);
 }
 
 TEST(BatchedBitIdentityTest, EveryChipModelNetlistMatches)
@@ -168,8 +242,10 @@ TEST(BatchedBitIdentityTest, EveryChipModelNetlistMatches)
     for (size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("config " + std::to_string(i));
         vn::ChipModel chip(configs[i]);
-        expectLanesMatchScalar(chip.pdn().netlist, chip.config().dt, 4,
-                               1200);
+        uint64_t digest = 0;
+        expectLanesMatchOneLane(chip.pdn().netlist, chip.config().dt, 4,
+                                1200, &digest);
+        EXPECT_EQ(digest, kChipNetlistDigests[i]);
     }
 }
 
@@ -233,21 +309,26 @@ TEST(BatchedBitIdentityTest, ChipRunBatchMatchesScalarRuns)
 
     auto batched = chip.runBatch(workloads, 2e-6, options);
     ASSERT_EQ(batched.size(), workloads.size());
+    uint64_t digest = vn::runtime::kFnvOffset;
+    for (const auto &r : batched)
+        digest = foldChipResult(digest, r);
+    EXPECT_EQ(digest, kRunBatchDigest);
     for (size_t i = 0; i < workloads.size(); ++i) {
         SCOPED_TRACE("lane " + std::to_string(i));
-        auto scalar = chip.run(workloads[i], 2e-6, options);
-        expectSameChipResult(scalar, batched[i]);
+        auto one_lane = chip.run(workloads[i], 2e-6, options);
+        expectSameChipResult(one_lane, batched[i]);
         // v_floor also covers the warm-up, so it bounds every core's
         // post-warm-up v_min from below.
-        for (const auto &core : scalar.core)
-            EXPECT_LE(scalar.v_floor, core.v_min);
+        for (const auto &core : one_lane.core)
+            EXPECT_LE(one_lane.v_floor, core.v_min);
     }
 }
 
 TEST(BatchedBitIdentityTest, RunBatchStopOnFailureFreezesPerLane)
 {
     // Deep undervolt makes heavy lanes fail early while light lanes
-    // survive; every lane must still match its scalar run bit-for-bit.
+    // survive; every lane must still match its one-lane run
+    // bit-for-bit.
     vn::ChipConfig config;
     config.bias = 0.12;
     vn::ChipModel chip(config);
@@ -265,15 +346,19 @@ TEST(BatchedBitIdentityTest, RunBatchStopOnFailureFreezesPerLane)
 
     auto batched = chip.runBatch(workloads, 3e-6, options);
     ASSERT_EQ(batched.size(), workloads.size());
+    uint64_t digest = vn::runtime::kFnvOffset;
+    for (const auto &r : batched)
+        digest = foldChipResult(digest, r);
+    EXPECT_EQ(digest, kStopOnFailureDigest);
     bool any_failed = false;
     for (size_t i = 0; i < workloads.size(); ++i) {
         SCOPED_TRACE("lane " + std::to_string(i));
-        auto scalar = chip.run(workloads[i], 3e-6, options);
-        expectSameChipResult(scalar, batched[i]);
-        any_failed = any_failed || scalar.failed;
+        auto one_lane = chip.run(workloads[i], 3e-6, options);
+        expectSameChipResult(one_lane, batched[i]);
+        any_failed = any_failed || one_lane.failed;
         // A lane frozen at its first violation keeps the floor it had
         // at that step, which is already below v_crit.
-        if (scalar.failed)
+        if (one_lane.failed)
             EXPECT_LT(batched[i].v_floor, chip.criticalVoltage());
         else
             EXPECT_GE(batched[i].v_floor, chip.criticalVoltage());

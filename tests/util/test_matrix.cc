@@ -113,24 +113,6 @@ TEST(LuSolverTest, ComplexSystem)
     }
 }
 
-TEST(LuSolverTest, SolveIntoMatchesSolve)
-{
-    vn::Matrix<double> a(3, 3);
-    vn::Rng rng(44);
-    for (size_t i = 0; i < 3; ++i) {
-        for (size_t j = 0; j < 3; ++j)
-            a(i, j) = rng.uniform(-1.0, 1.0);
-        a(i, i) += 4.0;
-    }
-    vn::LuSolver<double> lu(a);
-    std::vector<double> b{1.0, -2.0, 0.5};
-    auto x1 = lu.solve(b);
-    std::vector<double> x2;
-    lu.solveInto(b, x2);
-    for (size_t i = 0; i < 3; ++i)
-        EXPECT_DOUBLE_EQ(x1[i], x2[i]);
-}
-
 TEST(LuSolverTest, SingularMatrixIsFatal)
 {
     bool prev = vn::setThrowOnError(true);
